@@ -371,7 +371,7 @@ let bench_store () =
   let counter = ref 0 in
   let pipeline e =
     ignore (Engine.tables e);
-    ignore (Engine.classification ~with_lr1:false e)
+    ignore (Engine.classification e)
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -469,7 +469,7 @@ let bench_trace () =
   in
   let pipeline e =
     ignore (Engine.tables e);
-    ignore (Engine.classification ~with_lr1:false e)
+    ignore (Engine.classification e)
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -758,11 +758,7 @@ let serve_run_sequential ?store requests =
                 | _ -> failwith "serve bench: unreadable inline grammar")
           in
           let e = Engine.create ?store g in
-          ignore
-            (Engine.run_partial e (fun e ->
-                 Engine.classification
-                   ~with_lr1:(G.n_productions g <= Engine.lr1_limit)
-                   e));
+          ignore (Engine.run_partial e Engine.classification);
           Engine.persist e)
     requests
 
@@ -1107,8 +1103,10 @@ let soak_ok_grammars = [ "json"; "expr"; "mini-pascal"; "mini-c" ]
    carrying a generous deadline so the happy path exercises deadline
    propagation end to end), plus over-budget, already-expired,
    near-deadline, unreadable-file and health requests. Ids are
-   prefix-tagged so the accounting can pivot per class. *)
-let soak_request rng i : Protocol.request =
+   prefix-tagged so the accounting can pivot per class. A near-deadline
+   request carries [slow_cfg], a grammar slow by construction, so its
+   5 ms deadline trips in flight. *)
+let soak_request ~slow_cfg rng i : Protocol.request =
   match i mod 16 with
   | 15 -> Protocol.Health { id = Printf.sprintf "hlt:%d" i }
   | 5 | 13 ->
@@ -1133,7 +1131,7 @@ let soak_request rng i : Protocol.request =
       Protocol.Classify
         {
           id = Printf.sprintf "ndl:%d" i;
-          source = Protocol.File "suite:ada-subset";
+          source = Protocol.Inline { text = slow_cfg; format = `Cfg };
           budget = None;
           deadline_ms = Some 5.;
           trace_id = None;
@@ -1174,12 +1172,7 @@ let soak_expected_table () =
     (fun name ->
       let g = Lazy.force (Registry.find name).Registry.grammar in
       let e = Engine.create g in
-      let p =
-        Engine.run_partial e (fun e ->
-            Engine.classification
-              ~with_lr1:(G.n_productions g <= Engine.lr1_limit)
-              e)
-      in
+      let p = Engine.run_partial e Engine.classification in
       match p.Engine.pr_value with
       | Some v ->
           Hashtbl.replace tbl name
@@ -1263,7 +1256,8 @@ let bench_soak () =
   in
   Format.printf "daemon fault schedule: %s@." inject;
   let expected = soak_expected_table () in
-  let requests = List.init n_requests (soak_request rng) in
+  let slow_cfg = grammar_to_cfg (Lalr_suite.Scaled.grammar ~units:54 ()) in
+  let requests = List.init n_requests (soak_request ~slow_cfg rng) in
 
   (* -- live daemon -------------------------------------------------- *)
   let binary = soak_find_binary () in

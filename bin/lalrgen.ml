@@ -310,8 +310,6 @@ let tables_of_method e m = Engine.tables_for e m
 let classify_cmd =
   let run spec with_lr1 try_k keep_going timings budget cache inject trace =
     handle_engine spec ~timings ?budget ?cache ?inject ?trace (fun e ->
-        let g = Engine.grammar e in
-        let use_lr1 = with_lr1 || G.n_productions g <= Engine.lr1_limit in
         let finish v =
           Describe.classification Format.std_formatter v;
           (if try_k > 1 && not v.Lalr_tables.Classify.lalr1 then
@@ -323,11 +321,10 @@ let classify_cmd =
           if not v.Lalr_tables.Classify.lalr1 then exit 1
         in
         if not keep_going then
-          finish (Engine.classification ~with_lr1:use_lr1 e)
+          finish (Engine.classification ~with_lr1 e)
         else
           let p =
-            Engine.run_partial e (fun e ->
-                Engine.classification ~with_lr1:use_lr1 e)
+            Engine.run_partial e (Engine.classification ~with_lr1)
           in
           match (p.Engine.pr_value, p.Engine.pr_completeness) with
           | Some v, _ -> finish v
@@ -361,7 +358,10 @@ let classify_cmd =
       value & flag
       & info [ "with-lr1" ]
           ~doc:
-            "Force the canonical LR(1) construction even for large grammars.")
+            "Build the canonical LR(1) collection and print its state count. \
+             Without it, the LALR(1) conflicts decide LR(1)-ness, and the \
+             collection is built only when they are all reduce/reduce \
+             (on grammars of at most 250 productions).")
   in
   let try_k =
     Arg.(
@@ -667,9 +667,11 @@ let lint_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Forces every slot, in dependency order. [classify] alone never
-   touches [propagation] or the lr1-free classification variant, so the
-   fault-injection matrix (and cache warming) drives THIS command: an
-   armed compute site is guaranteed to be reached. *)
+   touches [propagation], and forces either [classification] or [lr1]
+   with [classification+lr1], so the fault-injection matrix (and cache
+   warming) drives THIS command: an armed compute site is guaranteed to
+   be reached. (On a grammar whose LALR(1) conflicts are all
+   reduce/reduce, both calls below land in [classification+lr1].) *)
 let force_all_stages e =
   ignore (Engine.analysis e);
   ignore (Engine.lr0 e);
@@ -683,7 +685,7 @@ let force_all_stages e =
   ignore (Engine.tables e);
   ignore (Engine.slr_tables e);
   ignore (Engine.nqlalr_tables e);
-  ignore (Engine.classification ~with_lr1:false e);
+  ignore (Engine.classification e);
   ignore (Engine.classification ~with_lr1:true e)
 
 let exercise_cmd =
@@ -892,12 +894,7 @@ let batch_cmd =
             (Printf.sprintf "internal error in stage '%s': %s" stage invariant)
       | Some g, [] -> (
           let e = Engine.create ?budget:(fresh_budget ()) ?store g in
-          let p =
-            Engine.run_partial e (fun e ->
-                Engine.classification
-                  ~with_lr1:(G.n_productions g <= Engine.lr1_limit)
-                  e)
-          in
+          let p = Engine.run_partial e Engine.classification in
           Engine.persist e;
           let stages =
             List.filter_map

@@ -7,9 +7,7 @@
 
 module Reader = Lalr_grammar.Reader
 module Lr0 = Lalr_automaton.Lr0
-module Lalr = Lalr_core.Lalr
-module Tables = Lalr_tables.Tables
-module Classify = Lalr_tables.Classify
+module Engine = Lalr_engine.Engine
 module Describe = Lalr_report.Describe
 module Registry = Lalr_suite.Registry
 
@@ -49,22 +47,18 @@ let () =
   Format.printf "── Grammar ──────────────────────────────────────────@.";
   Describe.grammar_summary Format.std_formatter g;
 
-  let a = Lr0.build g in
-  let t = Lalr.compute a in
+  let e = Engine.create g in
+  let a = Engine.lr0 e in
+  let t = Engine.lalr e in
 
   Format.printf "@.── Classification ──────────────────────────────────@.";
-  let verdict =
-    if Lalr_grammar.Grammar.n_productions g <= 200 then Classify.classify g
-    else Classify.classify_no_lr1 g
-  in
-  Describe.classification Format.std_formatter verdict;
+  Describe.classification Format.std_formatter (Engine.classification e);
 
   Format.printf "@.── Look-ahead relations (DeRemer–Pennello) ─────────@.";
   Describe.relations Format.std_formatter t;
 
   Format.printf "@.── Conflicts ───────────────────────────────────────@.";
-  let tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
-  Describe.conflicts Format.std_formatter tbl;
+  Describe.conflicts Format.std_formatter (Engine.tables e);
 
   if Lr0.n_states a <= 40 then begin
     Format.printf "@.── Automaton ───────────────────────────────────────@.";

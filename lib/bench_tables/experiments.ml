@@ -225,7 +225,7 @@ let t5 ppf =
   let rows =
     List.map
       (fun (name, eng) ->
-        let v = Engine.classification eng in
+        let v = Engine.classification ~with_lr1:true eng in
         [
           name;
           b v.Classify.lr0;

@@ -366,27 +366,37 @@ let lookahead t ~state ~prod = t.la.(find_reduction t ~state ~prod)
 let diagnostics t = t.diagnostics
 let stats t = t.stats
 
-let is_lalr1 t =
+(* The raw conflicts, precedence ignored, as two flags: some reduce
+   look-ahead meets a terminal its state shifts ($ out of the accept
+   state included), and two reduce look-aheads of one state meet. *)
+let overlaps t =
   let a = t.automaton in
   let n_term = Grammar.n_terminals (grammar t) in
-  let ok = ref true in
+  let sr = ref false and rr = ref false in
   for q = 0 to Lr0.n_states a - 1 do
     let reds = Lr0.reductions a q in
     if reds <> [] then begin
-      (* Terminals shiftable from q. *)
       let shiftable = Bitset.create n_term in
       Lr0.iter_t_transitions a q (fun tt _ -> Bitset.add shiftable tt);
-      let seen = Bitset.create n_term in
-      ignore (Bitset.union_into ~into:seen shiftable);
+      let reduced = Bitset.create n_term in
       List.iter
         (fun pid ->
           let set = lookahead t ~state:q ~prod:pid in
-          if not (Bitset.disjoint set seen) then ok := false;
-          ignore (Bitset.union_into ~into:seen set))
+          if not (Bitset.disjoint set shiftable) then sr := true;
+          if not (Bitset.disjoint set reduced) then rr := true;
+          ignore (Bitset.union_into ~into:reduced set))
         reds
     end
   done;
-  !ok
+  (!sr, !rr)
+
+let is_lalr1 t = overlaps t = (false, false)
+
+let is_lr1 t =
+  match overlaps t with
+  | false, false -> Some true
+  | true, _ -> Some false
+  | false, true -> None
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why is a terminal in LA(q, A→ω)?                       *)

@@ -206,6 +206,20 @@ val is_lalr1 : t -> bool
     pairwise disjoint and disjoint from the shiftable terminals. (Accept
     on [$] in the accept state is not a conflict.) *)
 
+val is_lr1 : t -> bool option
+(** Whether the grammar is LR(1), where the LALR(1) sets alone decide
+    it (precedence declarations ignored, as in {!is_lalr1}):
+
+    - [Some true] when {!is_lalr1}, since LALR(1) ⊂ LR(1);
+    - [Some false] when some reduce look-ahead meets a terminal its
+      state shifts, [$] out of the accept state included. Every
+      canonical LR(1) state with that core shifts the same terminals,
+      and these sets are the union of theirs (DeRemer–Pennello =
+      LR(1)-merge), so one of them carries the conflict too;
+    - [None] when every conflict is reduce/reduce. Merging LR(1)
+      states by core can create those, so only the canonical
+      collection ([Lalr_baselines.Lr1]) decides. *)
+
 val pp_nt_transition : t -> Format.formatter -> int -> unit
 (** [(state, A)]. *)
 

@@ -305,20 +305,24 @@ let tables_for e = function
 
 let lr1_limit = 250
 
-let classification ?with_lr1 e =
-  let use_lr1 =
-    match with_lr1 with
-    | Some b -> b
-    | None -> Grammar.n_productions e.grammar <= lr1_limit
-  in
-  let s = if use_lr1 then e.classification_lr1_s else e.classification_s in
+let classification ?(with_lr1 = false) e =
   let lalr_v = lalr e in
   let slr_v = slr e in
   let nqlalr_v = nqlalr e in
   let lalr_tbl = tables e in
   let slr_tbl = slr_tables e in
   let nq_tbl = nqlalr_tables e in
-  let lr1_v = if use_lr1 then Some (lr1 e) else None in
+  (* The LALR(1) sets decide LR(1)-ness unless every conflict is
+     reduce/reduce; only then is the canonical collection worth its
+     cost, and only on grammars small enough to afford it. *)
+  let s, lr1_v =
+    if
+      with_lr1
+      || Lalr.is_lr1 lalr_v = None
+         && Grammar.n_productions e.grammar <= lr1_limit
+    then (e.classification_lr1_s, Some (lr1 e))
+    else (e.classification_s, None)
+  in
   let a = lr0 e in
   forceb e s (fun () ->
       Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v ~lalr_tbl

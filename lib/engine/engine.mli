@@ -188,9 +188,10 @@ val slr : t -> Lalr_baselines.Slr.t
 val nqlalr : t -> Lalr_baselines.Nqlalr.t
 val propagation : t -> Lalr_baselines.Propagation.t
 val lr1 : t -> Lalr_baselines.Lr1.t
-(** The canonical LR(1) machine — the one genuinely expensive slot;
-    nothing forces it implicitly except {!classification} on small
-    grammars. *)
+(** The canonical LR(1) machine — the one genuinely expensive slot.
+    {!classification} forces it only under [~with_lr1:true], or when
+    the LALR(1) conflicts are all reduce/reduce on a grammar of at most
+    {!lr1_limit} productions. *)
 
 val tables : t -> Lalr_tables.Tables.t
 (** ACTION/GOTO under the exact LALR(1) sets. *)
@@ -205,13 +206,22 @@ val tables_for : t -> method_ -> Lalr_tables.Tables.t
 
 val lr1_limit : int
 (** Production-count threshold (250) above which {!classification}
-    skips the canonical LR(1) construction by default. *)
+    never builds canonical LR(1) by default. Such a grammar whose
+    LALR(1) conflicts are all reduce/reduce is reported not LR(1),
+    possibly wrongly. *)
 
 val classification : ?with_lr1:bool -> t -> Lalr_tables.Classify.verdict
 (** The full hierarchy verdict, assembled from the slots above.
-    [with_lr1] defaults to [n_productions ≤ lr1_limit]; the two
-    variants are distinct slots ([classification] and
-    [classification+lr1]) since their verdicts differ. *)
+    LR(1)-ness comes from {!Lalr_core.Lalr.is_lr1} where the LALR(1)
+    sets decide it: LALR(1)-clean means LR(1), and any shift/reduce
+    overlap means not LR(1). Only when every conflict is reduce/reduce
+    (and the grammar has at most {!lr1_limit} productions) is the
+    {!lr1} slot forced to decide. [~with_lr1:true] (default [false])
+    forces it regardless, for [lr1_states]. A verdict built without
+    the canonical machine has [lr1_states = 0] and is cached in the
+    [classification] slot; one built with it, in [classification+lr1].
+    The other fields agree either way, except [lr1] on a
+    reduce/reduce-only grammar above {!lr1_limit}. *)
 
 (** {2 Observability}
 

@@ -1,4 +1,3 @@
-module G = Lalr_grammar.Grammar
 module Reader = Lalr_grammar.Reader
 module Menhir_reader = Lalr_grammar.Menhir_reader
 module Engine = Lalr_engine.Engine
@@ -225,12 +224,7 @@ let attempt_job t id source budget_spec ~deadline : Protocol.job_response =
                    invariant)
           | Some g, [] -> (
               let e = Engine.create ?budget ?store:t.cfg.store g in
-              let p =
-                Engine.run_partial e (fun e ->
-                    Engine.classification
-                      ~with_lr1:(G.n_productions g <= Engine.lr1_limit)
-                      e)
-              in
+              let p = Engine.run_partial e Engine.classification in
               Engine.persist e;
               let stages =
                 List.filter_map

@@ -46,9 +46,13 @@ val classify : Grammar.t -> verdict
     Expensive on large grammars (canonical LR(1) dominates). *)
 
 val classify_no_lr1 : Grammar.t -> verdict
-(** Same but skips the canonical LR(1) construction; [lr1] is
-    over-approximated as [lalr1 || not not_lr_k] — reported as [lalr1]
-    — and [lr1_states] is [0]. For very large grammars. *)
+(** Same but skips the canonical LR(1) construction: [lr1] is reported
+    as [lalr1] and [lr1_states] is [0]. That [lr1] is exact whenever
+    {!Lalr_core.Lalr.is_lr1} decides, that is unless every LALR(1)
+    conflict is reduce/reduce; then the grammar may be LR(1) after
+    all. *)
 
 val pp : Format.formatter -> verdict -> unit
-(** One-line summary, e.g. ["LALR(1) (not SLR(1)); LR(0) states 131, LR(1) states 458"]. *)
+(** One-line summary, e.g. ["LALR(1) (not SLR(1)); LR(0) states 131"],
+    with [", LR(1) states N"] appended when the canonical machine was
+    built ([lr1_states > 0]). *)

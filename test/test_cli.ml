@@ -114,6 +114,38 @@ let test_store_injections_are_absorbed () =
   Sys.remove g
 
 (* ------------------------------------------------------------------ *)
+(* classify: where canonical LR(1) is built                            *)
+(* ------------------------------------------------------------------ *)
+
+let has_line_prefix out prefix =
+  List.exists
+    (fun l -> String.starts_with ~prefix l)
+    (String.split_on_char '\n' out)
+
+(* The LALR(1) sets decide assign (clean): no canonical collection, so
+   no LR(1) state count and no "LR(1):" line. *)
+let test_classify_default_no_lr1 () =
+  let ((_, out) as r) = run [ "classify"; "suite:assign" ] in
+  check_exit "assign" 0 r;
+  check_contains "assign" "LALR(1) (not SLR(1)); LR(0) states 11\n" r;
+  if contains out "LR(1) states" || has_line_prefix out "LR(1)" then
+    Alcotest.failf "default classify printed an LR(1) line:\n%s" out
+
+let test_classify_with_lr1 () =
+  let r = run [ "classify"; "suite:assign"; "--with-lr1" ] in
+  check_exit "assign --with-lr1" 0 r;
+  check_contains "assign --with-lr1" "LR(0) states 11, LR(1) states 15" r;
+  check_contains "assign --with-lr1" "LR(1):    true (15 states" r
+
+(* Reduce/reduce conflicts only: the LALR(1) sets cannot decide, so the
+   canonical collection is still built, and finds the grammar LR(1). *)
+let test_classify_lr1_not_lalr () =
+  let r = run [ "classify"; "suite:lr1-not-lalr" ] in
+  check_exit "lr1-not-lalr" 1 r;
+  check_contains "lr1-not-lalr" "LR(1) (not LALR(1))" r;
+  check_contains "lr1-not-lalr" "LR(1) states 15" r
+
+(* ------------------------------------------------------------------ *)
 (* keep-going                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -285,6 +317,15 @@ let () =
             test_reader_corruption_is_diagnostics;
           Alcotest.test_case "store injections -> 0" `Quick
             test_store_injections_are_absorbed;
+        ] );
+      ( "classify",
+        [
+          Alcotest.test_case "default prints no LR(1) line" `Quick
+            test_classify_default_no_lr1;
+          Alcotest.test_case "--with-lr1 prints LR(1) states" `Quick
+            test_classify_with_lr1;
+          Alcotest.test_case "lr1-not-lalr still LR(1)" `Quick
+            test_classify_lr1_not_lalr;
         ] );
       ( "keep-going",
         [ Alcotest.test_case "partial render" `Quick test_keep_going_partial ] );

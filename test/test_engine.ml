@@ -43,7 +43,7 @@ let read_file path =
 
 (* Engine-mediated LA sets, tables and classification vs computing
    each from scratch; returns an error description or None. *)
-let engine_vs_direct ?(with_lr1 = true) g =
+let engine_vs_direct g =
   let e = Engine.create g in
   let a = Lr0.build g in
   let t = Lalr.compute a in
@@ -61,19 +61,14 @@ let engine_vs_direct ?(with_lr1 = true) g =
   let direct_tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
   let pp_tbl tbl = render (fun ppf -> Tables.pp ppf tbl) in
   if pp_tbl direct_tbl <> pp_tbl (Engine.tables e) then fail "tables differ";
-  let direct_v =
-    if with_lr1 then Classify.classify g else Classify.classify_no_lr1 g
-  in
-  if direct_v <> Engine.classification ~with_lr1 e then
+  if Classify.classify g <> Engine.classification ~with_lr1:true e then
     fail "classification differs";
   !err
 
 let test_engine_vs_direct_suite () =
   List.iter
     (fun (e : Registry.entry) ->
-      let g = Lazy.force e.grammar in
-      let with_lr1 = G.n_productions g <= 200 in
-      match engine_vs_direct ~with_lr1 g with
+      match engine_vs_direct (Lazy.force e.grammar) with
       | None -> ()
       | Some msg -> Alcotest.failf "%s: %s" e.name msg)
     Registry.all
@@ -81,6 +76,94 @@ let test_engine_vs_direct_suite () =
 let prop_engine_vs_direct_random =
   QCheck.Test.make ~name:"engine = direct computation (random grammars)"
     ~count:100 (Randgen.arbitrary ()) (fun g -> engine_vs_direct g = None)
+
+(* ------------------------------------------------------------------ *)
+(* Canonical LR(1) stays the oracle of the default verdict            *)
+(* ------------------------------------------------------------------ *)
+
+type conflicts = Clean | Shift_reduce | Reduce_reduce_only
+
+(* The raw LALR(1) conflicts, read from the tables' conflict list
+   (precedence-resolved ones included) rather than from
+   [Lalr.is_lr1], which the engine decides by. *)
+let conflicts_of e =
+  match Tables.conflicts (Engine.tables e) with
+  | [] -> Clean
+  | cs ->
+      if
+        List.exists
+          (fun (c : Tables.conflict) ->
+            match c.kind with
+            | Tables.Shift_reduce _ -> true
+            | Tables.Reduce_reduce _ -> false)
+          cs
+      then Shift_reduce
+      else Reduce_reduce_only
+
+(* The default verdict must equal the canonical-LR(1) one on every
+   field but [lr1_states], and must have built the canonical machine
+   exactly when the conflicts are all reduce/reduce. Returns the case
+   and an error description, if any. *)
+let default_vs_lr1 g =
+  let e = Engine.create g in
+  let v = Engine.classification e in
+  let built = (Engine.find_stage e "lr1").Engine.forced in
+  let case = conflicts_of e in
+  let oracle = Engine.classification ~with_lr1:true e in
+  let err =
+    if { v with Classify.lr1_states = 0 } <> { oracle with lr1_states = 0 }
+    then Some "default verdict differs from the canonical LR(1) one"
+    else if built <> (case = Reduce_reduce_only) then
+      Some
+        (if built then "built LR(1) though the LALR(1) sets decide"
+         else "skipped LR(1) with only reduce/reduce conflicts")
+    else None
+  in
+  (case, err)
+
+let test_default_vs_lr1_suite () =
+  let built =
+    List.filter_map
+      (fun (e : Registry.entry) ->
+        match default_vs_lr1 (Lazy.force e.grammar) with
+        | _, Some msg -> Alcotest.failf "%s: %s" e.name msg
+        | Reduce_reduce_only, None -> Some e.name
+        | (Clean | Shift_reduce), None -> None)
+      Registry.all
+  in
+  Alcotest.(check (list string))
+    "only the reduce/reduce-only grammars build LR(1)"
+    [ "lr1-not-lalr"; "lalr2" ] built
+
+(* Randgen's default grammars are far below [Engine.lr1_limit]; the
+   fixed seed keeps the case counts printed below reproducible. *)
+let test_default_vs_lr1_random () =
+  let counts = Hashtbl.create 3 in
+  let prop =
+    QCheck.Test.make ~name:"default = --with-lr1 (random grammars)"
+      ~count:500 (Randgen.arbitrary ()) (fun g ->
+        QCheck.assume (G.n_productions g <= Engine.lr1_limit);
+        let case, err = default_vs_lr1 g in
+        Hashtbl.replace counts case
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts case));
+        match err with
+        | None -> true
+        | Some msg -> QCheck.Test.fail_report msg)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 13 |]) prop;
+  let count case = Option.value ~default:0 (Hashtbl.find_opt counts case) in
+  Printf.printf
+    "random grammars: %d LALR(1)-clean, %d with a shift/reduce conflict, %d \
+     with reduce/reduce conflicts only\n"
+    (count Clean) (count Shift_reduce) (count Reduce_reduce_only);
+  List.iter
+    (fun (case, name) ->
+      if count case = 0 then Alcotest.failf "no random grammar was %s" name)
+    [
+      (Clean, "LALR(1)-clean");
+      (Shift_reduce, "shift/reduce-conflicted");
+      (Reduce_reduce_only, "reduce/reduce-only");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Force-once slot discipline                                         *)
@@ -247,6 +330,13 @@ let () =
             test_engine_vs_direct_suite;
         ] );
       qsuite "equivalence-props" [ prop_engine_vs_direct_random ];
+      ( "lr1-oracle",
+        [
+          Alcotest.test_case "default = --with-lr1 on the whole suite" `Slow
+            test_default_vs_lr1_suite;
+          Alcotest.test_case "default = --with-lr1 on random grammars" `Quick
+            test_default_vs_lr1_random;
+        ] );
       ( "slots",
         [
           Alcotest.test_case "la forces relations exactly once" `Quick

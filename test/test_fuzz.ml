@@ -189,7 +189,7 @@ let test_driver_random_tokens () =
 
 let full_pipeline e =
   ignore (Engine.tables e);
-  ignore (Engine.classification ~with_lr1:false e)
+  ignore (Engine.classification e)
 
 let test_engine_under_budget () =
   let st = rng 4 in

@@ -260,6 +260,25 @@ let classify ?budget ?deadline_ms ?trace_id id file =
   Protocol.Classify
     { id; source = Protocol.File file; budget; deadline_ms; trace_id }
 
+(* A job that is slow by construction: 54 Scaled units come to 1300
+   productions, 70-95 ms to classify on a 2-vCPU x86 host, so the job
+   holds its worker through the queue, shedding and deadline tests
+   below. (Every suite grammar classifies in a few ms.) *)
+let slow_text =
+  lazy
+    (Lalr_grammar.Reader.to_string
+       (Lalr_suite.Scaled.grammar ~units:54 ()))
+
+let slow_job ?deadline_ms id =
+  Protocol.Classify
+    {
+      id;
+      source = Protocol.Inline { text = Lazy.force slow_text; format = `Cfg };
+      budget = None;
+      deadline_ms;
+      trace_id = None;
+    }
+
 let job_statuses responses =
   List.filter_map
     (function
@@ -331,10 +350,9 @@ let test_pool_sheds_when_full () =
   let respond, get = collector () in
   let outcomes =
     List.init 10 (fun i ->
+        let id = Printf.sprintf "b%d" i in
         Pool.submit pool
-          ~request:
-            (classify (Printf.sprintf "b%d" i)
-               (if i = 0 then "suite:ada-subset" else "suite:expr"))
+          ~request:(if i = 0 then slow_job id else classify id "suite:expr")
           ~respond)
   in
   let accepted =
@@ -427,7 +445,7 @@ let test_pool_deadline_dequeue () =
     | `Accepted -> ()
     | _ -> Alcotest.fail "not admitted"
   in
-  submit (classify "blocker" "suite:ada-subset");
+  submit (slow_job "blocker");
   submit (classify ~deadline_ms:10. "late" "suite:expr");
   clock := !clock +. 60.;
   ignore (Pool.drain pool);
@@ -451,7 +469,7 @@ let test_pool_deadline_in_flight () =
   let respond, get = collector () in
   (match
      Pool.submit pool
-       ~request:(classify ~deadline_ms:5. "running" "suite:ada-subset")
+       ~request:(slow_job ~deadline_ms:5. "running")
        ~respond
    with
   | `Accepted -> ()
@@ -870,11 +888,13 @@ let test_e2e_chaos_acceptance () =
   Fun.protect
     ~finally:(fun () -> kill_daemon d)
     (fun () ->
+      (* poisoned: the armed one-shot serve-worker fault crashes the
+         first worker that picks a job up. It goes in a call of its
+         own, answered before the rest is sent: with a second job in
+         the queue, the other domain could reach the fault first. *)
+      let poisoned = {|{"id":"poisoned","file":"suite:expr"}|} in
       let requests =
         [
-          (* poisoned: the armed serve-worker fault crashes the first
-             worker that picks a job up *)
-          {|{"id":"poisoned","file":"suite:expr"}|};
           {|{"id":"clean","file":"suite:expr"}|};
           {|{"id":"conflicted","grammar":"%token plus id\n%start e\n%%\ne : e plus e | id ;","format":"cfg"}|};
           {|{"id":"tight","file":"suite:ada-subset","budget":"fuel=10"}|};
@@ -882,15 +902,15 @@ let test_e2e_chaos_acceptance () =
           {|{"id":"h","kind":"health"}|};
         ]
       in
-      let code, out =
-        run_client ([ "call"; "--socket"; d.d_sock ] @ requests)
-      in
+      let call lines = run_client ([ "call"; "--socket"; d.d_sock ] @ lines) in
+      let code_poisoned, out_poisoned = call [ poisoned ] in
+      let code_rest, out_rest = call requests in
       let lines =
-        String.split_on_char '\n' out
+        String.split_on_char '\n' (out_poisoned ^ out_rest)
         |> List.filter (fun l -> String.length l > 0 && l.[0] = '{')
       in
       Alcotest.(check int) "exactly one response per request"
-        (List.length requests) (List.length lines);
+        (1 + List.length requests) (List.length lines);
       let status_of id =
         match
           List.filter (fun l -> field_string l "id" = Some id) lines
@@ -911,12 +931,11 @@ let test_e2e_chaos_acceptance () =
         (Some "bad_request") (status_of "");
       Alcotest.(check (option string)) "health answered" (Some "health")
         (status_of "h");
-      Alcotest.(check int) "client exit is the worst response" 4 code;
+      (* a call exits with its worst response *)
+      Alcotest.(check int) "poisoned call exits 4 (internal)" 4 code_poisoned;
+      Alcotest.(check int) "the other call exits 3 (budget)" 3 code_rest;
       (* the daemon survived all of it and still serves *)
-      let code2, out2 =
-        run_client
-          [ "call"; "--socket"; d.d_sock; {|{"id":"again","file":"suite:expr"}|} ]
-      in
+      let code2, out2 = call [ {|{"id":"again","file":"suite:expr"}|} ] in
       Alcotest.(check int) "daemon keeps serving after chaos" 0 code2;
       Alcotest.(check bool) "fresh request is clean" true
         (field_string (String.trim out2) "status" = Some "ok");
@@ -928,7 +947,7 @@ let test_e2e_overload_shed () =
     ~finally:(fun () -> kill_daemon d)
     (fun () ->
       let requests =
-        {|{"id":"slow","file":"suite:ada-subset"}|}
+        Protocol.encode_request (slow_job "slow")
         :: List.init 8 (fun i ->
                Printf.sprintf {|{"id":"f%d","file":"suite:expr"}|} i)
       in

@@ -57,7 +57,7 @@ let write_file path s =
 
 let force_all e =
   ignore (Engine.tables e);
-  ignore (Engine.classification ~with_lr1:false e)
+  ignore (Engine.classification e)
 
 (* Populate a fresh store with the grammar's artifacts and return it
    with the entry path. *)

@@ -196,7 +196,7 @@ let render_pp_stats () =
   let g = Reader.of_string ~name:"trace-test" expr_src in
   let e = Engine.create g in
   ignore (Engine.tables e);
-  ignore (Engine.classification ~with_lr1:false e);
+  ignore (Engine.classification e);
   Format.asprintf "%a" Engine.pp_stats e
 
 (* Wall times vary run to run; digits are scrubbed so the assertion
