@@ -1,4 +1,5 @@
 module Vec = Lalr_sets.Vec
+module Cell_index = Lalr_sets.Cell_index
 module Budget = Lalr_guard.Budget
 
 type state = {
@@ -12,26 +13,23 @@ type t = {
   grammar : Grammar.t;
   items_tbl : Item.table;
   states : state array;
-  (* goto_t.(s * n_terminals + t) and goto_n.(s * n_nonterminals + n),
-     -1 when undefined. *)
-  goto_t : int array;
-  goto_n : int array;
   (* Packed per-state transition rows (DESIGN.md §14): state [s]'s
      outgoing terminal edges are (tr_t_syms.(i), tr_t_tgts.(i)) for
      i in [tr_t_offsets.(s) .. tr_t_offsets.(s+1) - 1], symbols
-     ascending; likewise tr_n_* for nonterminals. The goto tables
-     answer point lookups, these answer row scans — without the
-     O(|terminals| + |nonterminals|) dense sweep per state. *)
+     ascending; likewise tr_n_* for nonterminals. A nonterminal
+     transition's number is its position i in the tr_n_* rows, so
+     the numbering is row-major (state, nonterminal). *)
   tr_t_offsets : int array;
   tr_t_syms : int array;
   tr_t_tgts : int array;
   tr_n_offsets : int array;
   tr_n_syms : int array;
   tr_n_tgts : int array;
+  tr_n_srcs : int array;  (* source state of each nonterminal transition *)
+  (* (state, symbol) -> position in the rows above, for point lookups. *)
+  t_index : Cell_index.t;
+  n_index : Cell_index.t;
   reductions : int list array;
-  nt_transitions : (int * int) array;
-  (* (p, A) -> dense transition index, via goto_n-shaped table. *)
-  nt_trans_index : int array;
 }
 
 let grammar a = a.grammar
@@ -134,18 +132,6 @@ let build g =
   done;
   let states = Vec.to_array states in
   let n = Array.length states in
-  let n_t = Grammar.n_terminals g and n_n = Grammar.n_nonterminals g in
-  let goto_t = Array.make (n * n_t) (-1) in
-  let goto_n = Array.make (n * n_n) (-1) in
-  Vec.iteri
-    (fun s edges ->
-      List.iter
-        (fun (sym, target) ->
-          match sym with
-          | Symbol.T t -> goto_t.((s * n_t) + t) <- target
-          | Symbol.N m -> goto_n.((s * n_n) + m) <- target)
-        edges)
-    trans;
   (* The packed rows, straight from the already-sorted edge lists
      (terminals ascending, then nonterminals ascending per state). *)
   let tr_t_offsets = Array.make (n + 1) 0 in
@@ -167,23 +153,22 @@ let build g =
   let tr_t_tgts = Array.make tr_t_offsets.(n) 0 in
   let tr_n_syms = Array.make tr_n_offsets.(n) 0 in
   let tr_n_tgts = Array.make tr_n_offsets.(n) 0 in
-  let fill_t = Array.make n 0 in
-  let fill_n = Array.make n 0 in
+  let tr_n_srcs = Array.make tr_n_offsets.(n) 0 in
   Vec.iteri
     (fun s edges ->
+      let i_t = ref tr_t_offsets.(s) and i_n = ref tr_n_offsets.(s) in
       List.iter
         (fun (sym, target) ->
           match sym with
           | Symbol.T t ->
-              let i = tr_t_offsets.(s) + fill_t.(s) in
-              tr_t_syms.(i) <- t;
-              tr_t_tgts.(i) <- target;
-              fill_t.(s) <- fill_t.(s) + 1
+              tr_t_syms.(!i_t) <- t;
+              tr_t_tgts.(!i_t) <- target;
+              incr i_t
           | Symbol.N m ->
-              let i = tr_n_offsets.(s) + fill_n.(s) in
-              tr_n_syms.(i) <- m;
-              tr_n_tgts.(i) <- target;
-              fill_n.(s) <- fill_n.(s) + 1)
+              tr_n_syms.(!i_n) <- m;
+              tr_n_tgts.(!i_n) <- target;
+              tr_n_srcs.(!i_n) <- s;
+              incr i_n)
         edges)
     trans;
   let reductions =
@@ -198,75 +183,56 @@ let build g =
         |> List.sort_uniq Int.compare)
       states
   in
-  (* Dense numbering of nonterminal transitions, row-major (state, nt). *)
-  let nt_trans_index = Array.make (n * n_n) (-1) in
-  let nt_transitions = Vec.create () in
-  for s = 0 to n - 1 do
-    for m = 0 to n_n - 1 do
-      if goto_n.((s * n_n) + m) >= 0 then
-        nt_trans_index.((s * n_n) + m) <-
-          Vec.push nt_transitions (s, m)
-    done
-  done;
   {
     grammar = g;
     items_tbl = tbl;
     states;
-    goto_t;
-    goto_n;
     tr_t_offsets;
     tr_t_syms;
     tr_t_tgts;
     tr_n_offsets;
     tr_n_syms;
     tr_n_tgts;
+    tr_n_srcs;
+    t_index =
+      Cell_index.of_rows ~n_cols:(Grammar.n_terminals g) ~offsets:tr_t_offsets
+        ~cols:tr_t_syms;
+    n_index =
+      Cell_index.of_rows ~n_cols:(Grammar.n_nonterminals g)
+        ~offsets:tr_n_offsets ~cols:tr_n_syms;
     reductions;
-    nt_transitions = Vec.to_array nt_transitions;
-    nt_trans_index;
   }
 
+(* δ(s, sym), or -1 — the allocation-free core of [goto]/[goto_exn]. *)
+let target a s sym =
+  match sym with
+  | Symbol.T t ->
+      let i = Cell_index.find a.t_index ~row:s ~col:t in
+      if i < 0 then -1 else a.tr_t_tgts.(i)
+  | Symbol.N m ->
+      let i = Cell_index.find a.n_index ~row:s ~col:m in
+      if i < 0 then -1 else a.tr_n_tgts.(i)
+
 let goto a s sym =
-  let v =
-    match sym with
-    | Symbol.T t -> a.goto_t.((s * Grammar.n_terminals a.grammar) + t)
-    | Symbol.N n -> a.goto_n.((s * Grammar.n_nonterminals a.grammar) + n)
-  in
+  let v = target a s sym in
   if v < 0 then None else Some v
 
 let goto_exn a s sym =
-  match goto a s sym with
-  | Some v -> v
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Lr0.goto_exn: no transition from %d on %s" s
-           (Grammar.symbol_name a.grammar sym))
+  let v = target a s sym in
+  if v < 0 then
+    invalid_arg
+      (Printf.sprintf "Lr0.goto_exn: no transition from %d on %s" s
+         (Grammar.symbol_name a.grammar sym))
+  else v
 
 let transitions a s =
-  (* Same order the dense-sweep version produced: terminals ascending,
-     then nonterminals ascending — but off the packed rows. *)
+  (* Terminals ascending, then nonterminals ascending. *)
   let acc = ref [] in
   for i = a.tr_n_offsets.(s + 1) - 1 downto a.tr_n_offsets.(s) do
     acc := (Symbol.N a.tr_n_syms.(i), a.tr_n_tgts.(i)) :: !acc
   done;
   for i = a.tr_t_offsets.(s + 1) - 1 downto a.tr_t_offsets.(s) do
     acc := (Symbol.T a.tr_t_syms.(i), a.tr_t_tgts.(i)) :: !acc
-  done;
-  !acc
-
-(* The pre-§14 implementation of [transitions]: a dense sweep of the
-   goto rows. Kept (unused by the engine) as the frozen access pattern
-   of the boxed-layout bench baseline. *)
-let transitions_dense a s =
-  let n_t = Grammar.n_terminals a.grammar in
-  let n_n = Grammar.n_nonterminals a.grammar in
-  let acc = ref [] in
-  for m = n_n - 1 downto 0 do
-    let v = a.goto_n.((s * n_n) + m) in
-    if v >= 0 then acc := (Symbol.N m, v) :: !acc
-  done;
-  for t = n_t - 1 downto 0 do
-    let v = a.goto_t.((s * n_t) + t) in
-    if v >= 0 then acc := (Symbol.T t, v) :: !acc
   done;
   !acc
 
@@ -289,16 +255,13 @@ let traverse a p rhs ~from =
   done;
   !s
 
-let n_nt_transitions a = Array.length a.nt_transitions
-let nt_transition a x = a.nt_transitions.(x)
-
-let nt_transition_target a x =
-  let p, m = a.nt_transitions.(x) in
-  a.goto_n.((p * Grammar.n_nonterminals a.grammar) + m)
+let n_nt_transitions a = Array.length a.tr_n_syms
+let nt_transition a x = (a.tr_n_srcs.(x), a.tr_n_syms.(x))
+let nt_transition_target a x = a.tr_n_tgts.(x)
 
 let find_nt_transition a p nt =
-  let v = a.nt_trans_index.((p * Grammar.n_nonterminals a.grammar) + nt) in
-  if v < 0 then raise Not_found else v
+  let x = Cell_index.find a.n_index ~row:p ~col:nt in
+  if x < 0 then raise Not_found else x
 
 let accept_state a = goto_exn a 0 (Symbol.N a.grammar.start)
 
@@ -310,10 +273,7 @@ let n_conflict_free_lr0 a =
       | [] -> ()
       | [ _ ] ->
           (* any shift on a terminal conflicts *)
-          let n_t = Grammar.n_terminals a.grammar in
-          for t = 0 to n_t - 1 do
-            if a.goto_t.((s * n_t) + t) >= 0 then ok := false
-          done
+          if a.tr_t_offsets.(s + 1) > a.tr_t_offsets.(s) then ok := false
       | _ :: _ :: _ -> ok := false)
     a.reductions;
   (* The accept state reduces nothing (production 0 excluded) but shifts $;
@@ -324,11 +284,9 @@ let size_report a =
   let kernel_items =
     Array.fold_left (fun acc s -> acc + Array.length s.kernel) 0 a.states
   in
-  let transitions_count =
-    Array.fold_left (fun acc v -> if v >= 0 then acc + 1 else acc) 0 a.goto_t
-    + Array.fold_left (fun acc v -> if v >= 0 then acc + 1 else acc) 0 a.goto_n
-  in
-  (Array.length a.states, kernel_items, transitions_count)
+  ( Array.length a.states,
+    kernel_items,
+    Array.length a.tr_t_syms + Array.length a.tr_n_syms )
 
 let pp_state a ppf s =
   let st = a.states.(s) in

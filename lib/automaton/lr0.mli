@@ -32,7 +32,9 @@ val n_states : t -> int
 val state : t -> int -> state
 
 val goto : t -> int -> Symbol.t -> int option
-(** The transition function δ(state, symbol). *)
+(** The transition function δ(state, symbol): one probe of a hashed
+    (state, symbol) index over the packed transition rows — the
+    automaton stores no |states| × |symbols| array (DESIGN.md §14). *)
 
 val goto_exn : t -> int -> Symbol.t -> int
 
@@ -42,19 +44,11 @@ val transitions : t -> int -> (Symbol.t * int) list
 val iter_t_transitions : t -> int -> (int -> int -> unit) -> unit
 (** [iter_t_transitions a s f] calls [f terminal target] for each
     outgoing terminal edge of state [s], terminal ids ascending — an
-    allocation-free row scan over the packed transition arrays, for
-    hot paths that the {!transitions} list (and the dense goto sweep
-    behind it) would dominate. *)
+    allocation-free scan of the packed transition row, for hot paths
+    that would otherwise build the {!transitions} list. *)
 
 val iter_n_transitions : t -> int -> (int -> int -> unit) -> unit
 (** Nonterminal counterpart of {!iter_t_transitions}. *)
-
-val transitions_dense : t -> int -> (Symbol.t * int) list
-(** The pre-data-layout implementation of {!transitions}: an
-    [O(terminals + nonterminals)] dense sweep of the goto rows. Same
-    result, kept only so the boxed-layout bench baseline
-    ({!Lalr_baselines.Boxed}) measures exactly the access pattern the
-    packed rows replaced. Not for new code. *)
 
 val reductions : t -> int -> int list
 (** Production ids of final items in the state's closure, ascending.
@@ -70,7 +64,9 @@ val traverse : t -> int -> Symbol.t array -> from:int -> int
 (** {2 Nonterminal transitions}
 
     The paper's set equations are indexed by nonterminal transitions
-    [(p, A)]; they get a dense numbering [0 .. n_nt_transitions-1]. *)
+    [(p, A)]; they get a dense numbering [0 .. n_nt_transitions-1],
+    row-major in [(p, A)]: a transition's number is its position in
+    the packed nonterminal rows. *)
 
 val n_nt_transitions : t -> int
 val nt_transition : t -> int -> int * int

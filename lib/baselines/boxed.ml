@@ -107,9 +107,7 @@ let relations ?analysis (a : Lr0.t) =
         | Symbol.N c ->
             if Analysis.nullable analysis c then
               reads.(x) <- Lr0.find_nt_transition a r c :: reads.(x))
-      (* The frozen access pattern: the dense goto-row sweep the packed
-         transition rows replaced. *)
-      (Lr0.transitions_dense a r)
+      (Lr0.transitions a r)
   done;
   let includes_rev = Array.make nx [] in
   for x' = 0 to nx - 1 do

@@ -1,9 +1,10 @@
 (** The boxed data layout the PR 7 refactor replaced, kept verbatim.
 
     A frozen copy of {!Lalr_core.Lalr}'s pre-CSR hot path: relations as
-    [int list array]s plus a [Hashtbl] reduction index, and the Digraph
-    fixpoint walking cons lists with an [option]-boxed value arena. It
-    exists for two consumers:
+    [int list array]s plus a [Hashtbl] reduction index, a DR scan over
+    the allocated {!Lalr_automaton.Lr0.transitions} lists, and the
+    Digraph fixpoint walking cons lists with an [option]-boxed value
+    arena. It exists for two consumers:
 
     - the [layout] bench stage, whose baseline arm must measure the old
       representation doing exactly the old work;

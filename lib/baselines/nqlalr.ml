@@ -8,16 +8,31 @@ type t = {
   (* FollowNQ per state (meaningful for targets of nonterminal
      transitions; empty elsewhere). *)
   follow_nq : Bitset.t array;
-  (* reduction (state, prod) -> LA set *)
-  la : (int * int, Bitset.t) Hashtbl.t;
+  (* Reductions numbered per state: state q's are the productions
+     red_prods.(i), with LA set la.(i), for i in
+     [red_offsets.(q) .. red_offsets.(q+1) - 1]. *)
+  red_offsets : int array;
+  red_prods : int array;
+  la : Bitset.t array;
 }
 
 let automaton t = t.automaton
 
-let compute (a : Lr0.t) =
+(* The reduction number of (state, prod), or -1: a state reduces a
+   handful of productions at most, so this is a short scan. *)
+let find_reduction ~red_offsets ~red_prods ~state ~prod =
+  let found = ref (-1) in
+  for i = red_offsets.(state) to red_offsets.(state + 1) - 1 do
+    if red_prods.(i) = prod then found := i
+  done;
+  !found
+
+let compute ?analysis (a : Lr0.t) =
   Budget.with_stage "nqlalr" @@ fun () ->
   let g = Lr0.grammar a in
-  let analysis = Analysis.compute g in
+  let analysis =
+    match analysis with Some an -> an | None -> Analysis.compute g
+  in
   let n_term = Grammar.n_terminals g in
   let n_states = Lr0.n_states a in
   let nx = Lr0.n_nt_transitions a in
@@ -30,13 +45,9 @@ let compute (a : Lr0.t) =
   for x = 0 to nx - 1 do
     Budget.burn ();
     let r = Lr0.nt_transition_target a x in
-    List.iter
-      (fun (sym, target) ->
-        match sym with
-        | Symbol.T t -> Bitset.add dr.(r) t
-        | Symbol.N c ->
-            if Analysis.nullable analysis c then add_edge r target)
-      (Lr0.transitions a r)
+    Lr0.iter_t_transitions a r (fun t _ -> Bitset.add dr.(r) t);
+    Lr0.iter_n_transitions a r (fun c target ->
+        if Analysis.nullable analysis c then add_edge r target)
   done;
   (* State-merged includes: exact edge (p,A) includes (p',B) becomes
      goto(p,A) -> goto(p',B). *)
@@ -69,12 +80,19 @@ let compute (a : Lr0.t) =
       ~init:(fun s -> dr.(s))
   in
   (* LA_NQ(q, A→ω) = ⋃ FollowNQ(goto(p,A)) over lookback pairs. *)
-  let la : (int * int, Bitset.t) Hashtbl.t = Hashtbl.create 256 in
+  let red_offsets = Array.make (n_states + 1) 0 in
   for q = 0 to n_states - 1 do
-    List.iter
-      (fun pid -> Hashtbl.replace la (q, pid) (Bitset.create n_term))
+    red_offsets.(q + 1) <- red_offsets.(q) + List.length (Lr0.reductions a q)
+  done;
+  let red_prods = Array.make red_offsets.(n_states) 0 in
+  for q = 0 to n_states - 1 do
+    List.iteri
+      (fun i pid -> red_prods.(red_offsets.(q) + i) <- pid)
       (Lr0.reductions a q)
   done;
+  let la =
+    Array.init (Array.length red_prods) (fun _ -> Bitset.create n_term)
+  in
   for x = 0 to nx - 1 do
     Budget.burn ();
     let p, aa = Lr0.nt_transition a x in
@@ -84,23 +102,26 @@ let compute (a : Lr0.t) =
         if pid <> 0 then begin
           let prod = Grammar.production g pid in
           let q = Lr0.traverse a p prod.rhs ~from:0 in
-          match Hashtbl.find_opt la (q, pid) with
-          | Some acc -> ignore (Bitset.union_into ~into:acc follow_nq.(r))
-          | None ->
-              Budget.broken_invariant ~stage:"nqlalr"
-                (Printf.sprintf
-                   "state %d reached by walking production %d lacks the \
-                    corresponding reduction"
-                   q pid)
+          let i = find_reduction ~red_offsets ~red_prods ~state:q ~prod:pid in
+          if i >= 0 then ignore (Bitset.union_into ~into:la.(i) follow_nq.(r))
+          else
+            Budget.broken_invariant ~stage:"nqlalr"
+              (Printf.sprintf
+                 "state %d reached by walking production %d lacks the \
+                  corresponding reduction"
+                 q pid)
         end)
       (Grammar.productions_of g aa)
   done;
-  { automaton = a; follow_nq; la }
+  { automaton = a; follow_nq; red_offsets; red_prods; la }
 
 let lookahead t ~state ~prod =
-  match Hashtbl.find_opt t.la (state, prod) with
-  | Some s -> s
-  | None -> raise Not_found
+  if state < 0 || state >= Lr0.n_states t.automaton then raise Not_found;
+  let i =
+    find_reduction ~red_offsets:t.red_offsets ~red_prods:t.red_prods ~state
+      ~prod
+  in
+  if i < 0 then raise Not_found else t.la.(i)
 
 let is_nqlalr1 t =
   let a = t.automaton in
@@ -110,12 +131,7 @@ let is_nqlalr1 t =
     let reds = Lr0.reductions a q in
     if reds <> [] then begin
       let seen = Bitset.create n_term in
-      List.iter
-        (fun (sym, _) ->
-          match sym with
-          | Symbol.T tt -> Bitset.add seen tt
-          | Symbol.N _ -> ())
-        (Lr0.transitions a q);
+      Lr0.iter_t_transitions a q (fun tt _ -> Bitset.add seen tt);
       List.iter
         (fun pid ->
           let set = lookahead t ~state:q ~prod:pid in

@@ -18,7 +18,10 @@
 
 type t
 
-val compute : Lalr_automaton.Lr0.t -> t
+val compute : ?analysis:Analysis.t -> Lalr_automaton.Lr0.t -> t
+(** [?analysis] must be the analysis of the automaton's grammar when
+    supplied (a memoizing caller passes its cached copy); it is
+    recomputed otherwise. *)
 
 val automaton : t -> Lalr_automaton.Lr0.t
 

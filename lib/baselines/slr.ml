@@ -3,7 +3,14 @@ module Lr0 = Lalr_automaton.Lr0
 
 type t = { automaton : Lr0.t; analysis : Analysis.t }
 
-let compute a = { automaton = a; analysis = Analysis.compute (Lr0.grammar a) }
+let compute ?analysis a =
+  let analysis =
+    match analysis with
+    | Some an -> an
+    | None -> Analysis.compute (Lr0.grammar a)
+  in
+  { automaton = a; analysis }
+
 let automaton t = t.automaton
 
 let lookahead t ~state:_ ~prod =
@@ -19,12 +26,7 @@ let is_slr1 t =
     let reds = Lr0.reductions a q in
     if reds <> [] then begin
       let seen = Bitset.create n_term in
-      List.iter
-        (fun (sym, _) ->
-          match sym with
-          | Symbol.T tt -> Bitset.add seen tt
-          | Symbol.N _ -> ())
-        (Lr0.transitions a q);
+      Lr0.iter_t_transitions a q (fun tt _ -> Bitset.add seen tt);
       List.iter
         (fun pid ->
           let set = lookahead t ~state:q ~prod:pid in

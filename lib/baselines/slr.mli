@@ -7,7 +7,10 @@
 
 type t
 
-val compute : Lalr_automaton.Lr0.t -> t
+val compute : ?analysis:Analysis.t -> Lalr_automaton.Lr0.t -> t
+(** [?analysis] must be the analysis of the automaton's grammar when
+    supplied (a memoizing caller passes its cached copy); it is
+    recomputed otherwise. *)
 
 val lookahead : t -> state:int -> prod:int -> Lalr_sets.Bitset.t
 (** [FOLLOW] of the production's left-hand side. The [state] argument

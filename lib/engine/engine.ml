@@ -267,12 +267,14 @@ let lalr e =
   forceb e e.la_s (fun () -> Lalr.of_stages r f)
 
 let slr e =
+  let an = analysis e in
   let a = lr0 e in
-  forceb e e.slr_s (fun () -> Slr.compute a)
+  forceb e e.slr_s (fun () -> Slr.compute ~analysis:an a)
 
 let nqlalr e =
+  let an = analysis e in
   let a = lr0 e in
-  forceb e e.nqlalr_s (fun () -> Nqlalr.compute a)
+  forceb e e.nqlalr_s (fun () -> Nqlalr.compute ~analysis:an a)
 
 let propagation e =
   let a = lr0 e in

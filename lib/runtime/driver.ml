@@ -16,15 +16,12 @@ let pp_error g ppf e =
     (fun t -> Format.fprintf ppf " %s" (Grammar.terminal_name g t))
     e.expected
 
-let expected_in tables g state =
-  let n_term = Grammar.n_terminals g in
+(* The terminals with a non-error action, ascending: the state's
+   ACTION row. *)
+let expected_in tables state =
   let acc = ref [] in
-  for t = n_term - 1 downto 0 do
-    match Tables.action tables ~state ~terminal:t with
-    | Tables.Error -> ()
-    | Tables.Shift _ | Tables.Reduce _ | Tables.Accept -> acc := t :: !acc
-  done;
-  !acc
+  Tables.iter_actions tables state (fun t _ -> acc := t :: !acc);
+  List.rev !acc
 
 (* Ensure terminated input. Tokens after an interior eof can never be
    consumed by the machine; [trailing] reports the position and first
@@ -105,7 +102,7 @@ let run tables tokens =
                 position = pos;
                 state;
                 found = tok;
-                expected = expected_in tables g state;
+                expected = expected_in tables state;
               })
   in
   match step 0 input with
@@ -221,7 +218,7 @@ let parse_with_recovery tables tokens =
                     position = pos;
                     state;
                     found = tok;
-                    expected = expected_in tables g state;
+                    expected = expected_in tables state;
                   }
                   :: !errors;
                 if pop_to_error_state () then begin

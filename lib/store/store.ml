@@ -20,8 +20,12 @@ type t = {
    3: the data-layout PR — Lalr.relations went from boxed lists and a
    Hashtbl reduction index to packed CSR arrays and a dense per-state
    index, and Lalr.stats grew the memory-footprint member; every
-   artifact embedding a relations or stats value changed shape. *)
-let format_version = 3
+   artifact embedding a relations or stats value changed shape.
+   4: the sparse automaton — Lr0.t lost its dense goto arrays for a
+   hashed cell index over the packed rows, and Tables.t its dense
+   ACTION matrix for packed rows plus the same index; Nqlalr.t keys
+   its look-aheads by reduction number. *)
+let format_version = 4
 
 let magic = "LALRART1"
 

@@ -19,15 +19,13 @@ let mode t = t.mode
 (* Yacc-style default choice: the most frequent Reduce of the state
    (ties to the smallest production id), or -1 when the state reduces
    nothing. *)
-let yacc_default tables ~n_terminals ~state =
+let yacc_default tables ~state =
   let counts = Hashtbl.create 4 in
-  for terminal = 0 to n_terminals - 1 do
-    match Tables.action tables ~state ~terminal with
+  Tables.iter_actions tables state (fun _ -> function
     | Tables.Reduce p ->
         Hashtbl.replace counts p
           (1 + Option.value (Hashtbl.find_opt counts p) ~default:0)
-    | _ -> ()
-  done;
+    | _ -> ());
   Hashtbl.fold
     (fun p c (best_p, best_c) ->
       if c > best_c || (c = best_c && p < best_p) then (p, c)
@@ -35,23 +33,35 @@ let yacc_default tables ~n_terminals ~state =
     counts (-1, 0)
   |> fst
 
-(* Entries that remain in a row once the default is factored out. In
-   Yacc mode, Error cells of a defaulting state are dropped too: a
-   lookup miss falls back to the default reduction. *)
+(* Entries that remain in a row once the default is factored out: the
+   row's cells other than the default reduction. In Exact mode the
+   Error cells of a defaulting state stay too, as explicit entries, so
+   that a lookup miss never falls back to the default; in Yacc mode
+   they are dropped. *)
 let residual_row tables ~mode ~n_terminals ~state ~default =
-  let default_action =
-    if default >= 0 then Tables.Reduce default else Tables.Error
-  in
-  let keep a =
-    a <> default_action
-    && not (mode = Yacc && default >= 0 && a = Tables.Error)
-  in
-  let cells = ref [] in
-  for terminal = n_terminals - 1 downto 0 do
-    let a = Tables.action tables ~state ~terminal in
-    if keep a then cells := (terminal, a) :: !cells
-  done;
-  !cells
+  let keep a = a <> Tables.Reduce default in
+  let row = ref [] in
+  (* descending terminal order *)
+  Tables.iter_actions tables state (fun terminal a ->
+      row := (terminal, a) :: !row);
+  if mode = Exact && default >= 0 then begin
+    let cells = ref [] in
+    for terminal = n_terminals - 1 downto 0 do
+      let a =
+        match !row with
+        | (t, a) :: rest when t = terminal ->
+            row := rest;
+            a
+        | _ -> Tables.Error
+      in
+      if keep a then cells := (terminal, a) :: !cells
+    done;
+    !cells
+  end
+  else
+    List.fold_left
+      (fun cells (terminal, a) -> if keep a then (terminal, a) :: cells else cells)
+      [] !row
 
 let compress ?(mode = Exact) tables =
   let a = Tables.automaton tables in
@@ -62,8 +72,7 @@ let compress ?(mode = Exact) tables =
     match mode with
     | Exact -> Tables.default_reductions tables
     | Yacc ->
-        Array.init n_states (fun state ->
-            yacc_default tables ~n_terminals ~state)
+        Array.init n_states (fun state -> yacc_default tables ~state)
   in
   let rows =
     Array.init n_states (fun state ->

@@ -1,4 +1,5 @@
 module Bitset = Lalr_sets.Bitset
+module Cell_index = Lalr_sets.Cell_index
 module Lr0 = Lalr_automaton.Lr0
 
 type action = Shift of int | Reduce of int | Accept | Error
@@ -19,15 +20,28 @@ type conflict = {
 
 type t = {
   automaton : Lr0.t;
-  actions : action array;  (* state * n_terminals + terminal *)
+  (* Packed ACTION rows: state [s]'s non-error cells are
+     (cell_terminals.(i), cell_actions.(i)) for i in
+     [offsets.(s) .. offsets.(s+1) - 1], terminals ascending. Error is
+     the absence of a cell. The arrays may run past the last row's
+     end. *)
+  offsets : int array;
+  cell_terminals : int array;
+  cell_actions : action array;
+  index : Cell_index.t;  (* (state, terminal) -> cell position *)
   conflicts : conflict list;
 }
 
 let automaton t = t.automaton
 
 let action t ~state ~terminal =
-  let n_term = Grammar.n_terminals (Lr0.grammar t.automaton) in
-  t.actions.((state * n_term) + terminal)
+  let i = Cell_index.find t.index ~row:state ~col:terminal in
+  if i < 0 then Error else t.cell_actions.(i)
+
+let iter_actions t state f =
+  for i = t.offsets.(state) to t.offsets.(state + 1) - 1 do
+    f t.cell_terminals.(i) t.cell_actions.(i)
+  done
 
 let goto t ~state ~nonterminal =
   Lr0.goto t.automaton state (Symbol.N nonterminal)
@@ -49,35 +63,57 @@ let build ~lookahead (a : Lr0.t) =
   let g = Lr0.grammar a in
   let n_term = Grammar.n_terminals g in
   let n_states = Lr0.n_states a in
-  let actions = Array.make (n_states * n_term) Error in
-  let conflicts = ref [] in
-  (* Shifts. *)
-  for s = 0 to n_states - 1 do
-    List.iter
-      (fun (sym, target) ->
-        match sym with
-        | Symbol.T tt -> actions.((s * n_term) + tt) <- Shift target
-        | Symbol.N _ -> ())
-      (Lr0.transitions a s)
-  done;
-  (* Accept overrides the shift on $ out of the accept state. *)
   let accept = Lr0.accept_state a in
-  actions.((accept * n_term) + 0) <- Accept;
-  (* Reductions, with conflict handling. *)
+  (* Cells share one Shift/Reduce value per target/production instead
+     of allocating one per cell. *)
+  let shift_to = Array.init n_states (fun q -> Shift q) in
+  let reduce_by = Array.init (Grammar.n_productions g) (fun p -> Reduce p) in
+  (* Each reduction's look-ahead, fetched once. Shifts plus look-ahead
+     sizes bound the row lengths, so the packed rows are allocated once
+     (conflicting cells are counted twice and leave a little slack). *)
+  let las =
+    Array.init n_states (fun s ->
+        List.map (fun pid -> (pid, lookahead ~state:s ~prod:pid))
+          (Lr0.reductions a s))
+  in
+  let bound = ref 1 in
   for s = 0 to n_states - 1 do
+    Lr0.iter_t_transitions a s (fun _ _ -> incr bound);
+    List.iter (fun (_, la) -> bound := !bound + Bitset.cardinal la) las.(s)
+  done;
+  let offsets = Array.make (n_states + 1) 0 in
+  let cell_terminals = Array.make !bound 0 in
+  let cell_actions = Array.make !bound Error in
+  (* One state's ACTION row at a time, in a scratch row reused across
+     states; [touched] marks the cells written, so emitting and
+     resetting the row skips the rest. *)
+  let row = Array.make n_term Error in
+  let touched = Bitset.create n_term in
+  let n_cells = ref 0 in
+  let conflicts = ref [] in
+  for s = 0 to n_states - 1 do
+    (* Shifts. *)
+    Lr0.iter_t_transitions a s (fun tt target ->
+        row.(tt) <- shift_to.(target);
+        Bitset.add touched tt);
+    (* Accept overrides the shift on $ out of the accept state. *)
+    if s = accept then begin
+      row.(0) <- Accept;
+      Bitset.add touched 0
+    end;
+    (* Reductions, with conflict handling. *)
     List.iter
-      (fun pid ->
-        let la = lookahead ~state:s ~prod:pid in
+      (fun (pid, la) ->
+        ignore (Bitset.union_into ~into:touched la);
         Bitset.iter
           (fun terminal ->
-            let cell = (s * n_term) + terminal in
-            match actions.(cell) with
-            | Error -> actions.(cell) <- Reduce pid
+            match row.(terminal) with
+            | Error -> row.(terminal) <- reduce_by.(pid)
             | Shift shift_to ->
                 let chosen, resolution =
                   resolve_sr g ~shift_to ~terminal ~reduce:pid
                 in
-                actions.(cell) <- chosen;
+                row.(terminal) <- chosen;
                 conflicts :=
                   {
                     state = s;
@@ -90,13 +126,13 @@ let build ~lookahead (a : Lr0.t) =
             | Reduce other ->
                 (* reductions are visited in ascending pid order *)
                 let kept = min other pid and dropped = max other pid in
-                actions.(cell) <- Reduce kept;
+                row.(terminal) <- reduce_by.(kept);
                 conflicts :=
                   {
                     state = s;
                     terminal;
                     kind = Reduce_reduce { kept; dropped };
-                    chosen = Reduce kept;
+                    chosen = reduce_by.(kept);
                     resolution = By_default;
                   }
                   :: !conflicts
@@ -115,9 +151,29 @@ let build ~lookahead (a : Lr0.t) =
                   }
                   :: !conflicts)
           la)
-      (Lr0.reductions a s)
+      las.(s);
+    (* Emit the row's non-error cells in terminal order and reset it. *)
+    Bitset.iter
+      (fun tt ->
+        (match row.(tt) with
+        | Error -> ()
+        | v ->
+            cell_terminals.(!n_cells) <- tt;
+            cell_actions.(!n_cells) <- v;
+            incr n_cells);
+        row.(tt) <- Error)
+      touched;
+    Bitset.clear touched;
+    offsets.(s + 1) <- !n_cells
   done;
-  { automaton = a; actions; conflicts = List.rev !conflicts }
+  {
+    automaton = a;
+    offsets;
+    cell_terminals;
+    cell_actions;
+    index = Cell_index.of_rows ~n_cols:n_term ~offsets ~cols:cell_terminals;
+    conflicts = List.rev !conflicts;
+  }
 
 let conflicts t = t.conflicts
 
@@ -141,19 +197,14 @@ let n_reduce_reduce t =
        t.conflicts)
 
 let default_reductions t =
-  let a = t.automaton in
-  let n_term = Grammar.n_terminals (Lr0.grammar a) in
-  Array.init (Lr0.n_states a) (fun s ->
+  Array.init (Lr0.n_states t.automaton) (fun s ->
       let result = ref (-2) in
       (* -2: unset, -1: disqualified *)
-      for tt = 0 to n_term - 1 do
-        match t.actions.((s * n_term) + tt) with
-        | Error -> ()
+      iter_actions t s (fun _ -> function
         | Reduce p ->
             if !result = -2 then result := p
             else if !result <> p then result := -1
-        | Shift _ | Accept -> result := -1
-      done;
+        | Shift _ | Accept | Error -> result := -1);
       if !result >= 0 then !result else -1)
 
 let pp_conflict g ppf c =
@@ -201,7 +252,7 @@ let pp ppf t =
   for s = 0 to Lr0.n_states a - 1 do
     Format.fprintf ppf "%5d |" s;
     for tt = 0 to n_term - 1 do
-      match t.actions.((s * n_term) + tt) with
+      match action t ~state:s ~terminal:tt with
       | Error -> Format.fprintf ppf " %6s" "."
       | Shift q -> Format.fprintf ppf " %6s" (Printf.sprintf "s%d" q)
       | Reduce p -> Format.fprintf ppf " %6s" (Printf.sprintf "r%d" p)

@@ -42,10 +42,21 @@ val build :
   Lalr_automaton.Lr0.t ->
   t
 (** Builds ACTION and GOTO. [lookahead] is queried once per reduction of
-    the automaton. *)
+    the automaton. ACTION is stored as packed per-state rows of its
+    non-error cells plus a hashed (state, terminal) index
+    ({!Lalr_sets.Cell_index}), so it costs space in the non-error cells,
+    not in [states × terminals]; GOTO is the automaton's own transition
+    function. *)
 
 val automaton : t -> Lalr_automaton.Lr0.t
+
 val action : t -> state:int -> terminal:int -> action
+(** One index probe; [Error] for every cell the row does not store. *)
+
+val iter_actions : t -> int -> (int -> action -> unit) -> unit
+(** [iter_actions t s f] calls [f terminal action] for each non-error
+    cell of state [s]'s ACTION row, terminals ascending. *)
+
 val goto : t -> state:int -> nonterminal:int -> int option
 
 val conflicts : t -> conflict list

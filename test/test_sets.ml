@@ -1,9 +1,10 @@
-(* Tests for lib/sets: Bitset, Tarjan, Digraph, Csr, Vec. *)
+(* Tests for lib/sets: Bitset, Tarjan, Digraph, Csr, Cell_index, Vec. *)
 
 module Bitset = Lalr_sets.Bitset
 module Tarjan = Lalr_sets.Tarjan
 module Digraph = Lalr_sets.Digraph
 module Csr = Lalr_sets.Csr
+module Cell_index = Lalr_sets.Cell_index
 module Vec = Lalr_sets.Vec
 
 let check = Alcotest.(check bool)
@@ -404,6 +405,75 @@ let prop_run_csr_scc_partition =
       = norm (Tarjan.nontrivial ~n ~successors))
 
 (* ------------------------------------------------------------------ *)
+(* Cell_index                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Packed rows from per-row column lists (ascending, distinct). *)
+let packed rows =
+  let offsets = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r l -> offsets.(r + 1) <- offsets.(r) + List.length l) rows;
+  (offsets, Array.of_list (List.concat (Array.to_list rows)))
+
+let test_cell_index_units () =
+  let offsets, cols = packed [| [ 0; 3 ]; []; [ 1; 2; 3 ] |] in
+  let idx = Cell_index.of_rows ~n_cols:4 ~offsets ~cols in
+  check_int "(0,3)" 1 (Cell_index.find idx ~row:0 ~col:3);
+  check_int "(2,1)" 2 (Cell_index.find idx ~row:2 ~col:1);
+  check_int "miss" (-1) (Cell_index.find idx ~row:1 ~col:0);
+  check_int "column past the end" (-1) (Cell_index.find idx ~row:0 ~col:4);
+  check_int "negative column" (-1) (Cell_index.find idx ~row:1 ~col:(-1));
+  check_int "row past the end" (-1) (Cell_index.find idx ~row:3 ~col:0);
+  (* A column array longer than the rows: the tail is not indexed. *)
+  let idx = Cell_index.of_rows ~n_cols:4 ~offsets:[| 0; 1 |] ~cols:[| 2; 3 |] in
+  check_int "tail ignored" (-1) (Cell_index.find idx ~row:1 ~col:3);
+  let empty = Cell_index.of_rows ~n_cols:1 ~offsets:[||] ~cols:[||] in
+  check_int "empty" (-1) (Cell_index.find empty ~row:0 ~col:0);
+  Alcotest.check_raises "duplicate cell"
+    (Invalid_argument "Cell_index.of_rows: duplicate cell") (fun () ->
+      ignore (Cell_index.of_rows ~n_cols:4 ~offsets:[| 0; 2 |] ~cols:[| 1; 1 |]));
+  Alcotest.check_raises "column out of range"
+    (Invalid_argument "Cell_index.of_rows: column out of range") (fun () ->
+      ignore (Cell_index.of_rows ~n_cols:4 ~offsets:[| 0; 1 |] ~cols:[| 4 |]))
+
+let arb_sparse_rows =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n_cols ->
+      int_range 0 60 >>= fun n_rows ->
+      array_repeat n_rows
+        (list_size (int_range 0 8) (int_range 0 (n_cols - 1)))
+      >|= fun rows ->
+      (n_cols, Array.map (List.sort_uniq Int.compare) rows))
+    ~print:(fun (n_cols, rows) ->
+      Printf.sprintf "n_cols=%d rows=[%s]" n_cols
+        (String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun l -> String.concat "," (List.map string_of_int l))
+                 rows))))
+
+let prop_cell_index_model =
+  QCheck.Test.make ~name:"cell index = position model, hits and misses"
+    ~count:300 arb_sparse_rows (fun (n_cols, rows) ->
+      let offsets, cols = packed rows in
+      let idx = Cell_index.of_rows ~n_cols ~offsets ~cols in
+      let ok = ref true in
+      Array.iteri
+        (fun r _ ->
+          for c = -1 to n_cols do
+            let expected =
+              let pos = ref (-1) in
+              for i = offsets.(r) to offsets.(r + 1) - 1 do
+                if cols.(i) = c then pos := i
+              done;
+              !pos
+            in
+            if Cell_index.find idx ~row:r ~col:c <> expected then ok := false
+          done)
+        rows;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Vec                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -457,6 +527,11 @@ let () =
           prop_subset_union;
           prop_compare_equal;
         ];
+      ( "cell_index",
+        [
+          Alcotest.test_case "units" `Quick test_cell_index_units;
+          QCheck_alcotest.to_alcotest prop_cell_index_model;
+        ] );
       ( "tarjan",
         [
           Alcotest.test_case "dag" `Quick test_tarjan_dag;

@@ -6,9 +6,14 @@ module G = Lalr_grammar.Grammar
 module Lr0 = Lalr_automaton.Lr0
 module Lalr = Lalr_core.Lalr
 module Slr = Lalr_baselines.Slr
+module Nqlalr = Lalr_baselines.Nqlalr
 module Tables = Lalr_tables.Tables
 module Classify = Lalr_tables.Classify
+module Engine = Lalr_engine.Engine
 module Registry = Lalr_suite.Registry
+module Randgen = Lalr_suite.Randgen
+module Scaled = Lalr_suite.Scaled
+module Symbol = Lalr_grammar.Symbol
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -88,23 +93,24 @@ let test_precedence_resolution () =
        (fun (c : Tables.conflict) -> c.resolution = Tables.By_precedence)
        (Tables.conflicts tbl))
 
+(* e PLUS e . PLUS → %left ⇒ reduce; e POW e . POW → %right ⇒ shift;
+   e CMP e . CMP → %nonassoc ⇒ error. *)
+let directions_grammar () =
+  G.make
+    ~prec:[ (G.Nonassoc, [ "cmp" ]); (G.Left, [ "plus" ]); (G.Right, [ "pow" ]) ]
+    ~terminals:[ "plus"; "pow"; "cmp"; "id" ]
+    ~start:"e"
+    ~rules:
+      [
+        ("e", [ "e"; "plus"; "e" ], None);
+        ("e", [ "e"; "pow"; "e" ], None);
+        ("e", [ "e"; "cmp"; "e" ], None);
+        ("e", [ "id" ], None);
+      ]
+    ()
+
 let test_precedence_directions () =
-  (* e PLUS e . PLUS → %left ⇒ reduce; e POW e . POW → %right ⇒ shift;
-     e CMP e . CMP → %nonassoc ⇒ error. *)
-  let g =
-    G.make
-      ~prec:[ (G.Nonassoc, [ "cmp" ]); (G.Left, [ "plus" ]); (G.Right, [ "pow" ]) ]
-      ~terminals:[ "plus"; "pow"; "cmp"; "id" ]
-      ~start:"e"
-      ~rules:
-        [
-          ("e", [ "e"; "plus"; "e" ], None);
-          ("e", [ "e"; "pow"; "e" ], None);
-          ("e", [ "e"; "cmp"; "e" ], None);
-          ("e", [ "id" ], None);
-        ]
-      ()
-  in
+  let g = directions_grammar () in
   let tbl = lalr_tables g in
   check "no unresolved" true (Tables.unresolved_conflicts tbl = []);
   let term name = Option.get (G.find_terminal g name) in
@@ -199,6 +205,199 @@ let test_default_reductions () =
   check "some defaults exist" true (Array.exists (fun d -> d >= 0) defaults)
 
 (* ------------------------------------------------------------------ *)
+(* Sparse lookups                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense |states| × |terminals| ACTION matrix and conflict list the
+   packed rows replaced, rebuilt as the reference: every shift, accept
+   on $, then each state's reductions in order, with yacc's
+   resolution. *)
+let dense_reference ~lookahead a =
+  let g = Lr0.grammar a in
+  let n_term = G.n_terminals g in
+  let actions = Array.make (Lr0.n_states a * n_term) Tables.Error in
+  let conflicts = ref [] in
+  let conflict state terminal kind chosen resolution =
+    conflicts := { Tables.state; terminal; kind; chosen; resolution } :: !conflicts
+  in
+  for s = 0 to Lr0.n_states a - 1 do
+    List.iter
+      (function
+        | Symbol.T t, q -> actions.((s * n_term) + t) <- Tables.Shift q
+        | Symbol.N _, _ -> ())
+      (Lr0.transitions a s)
+  done;
+  actions.(Lr0.accept_state a * n_term) <- Tables.Accept;
+  for s = 0 to Lr0.n_states a - 1 do
+    List.iter
+      (fun pid ->
+        Bitset.iter
+          (fun t ->
+            let cell = (s * n_term) + t in
+            match actions.(cell) with
+            | Tables.Error -> actions.(cell) <- Tables.Reduce pid
+            | Tables.Shift q ->
+                let chosen, resolution =
+                  match
+                    (g.G.terminal_prec.(t), (G.production g pid).prec)
+                  with
+                  | Some (tl, _), Some (pl, _) when pl > tl ->
+                      (Tables.Reduce pid, Tables.By_precedence)
+                  | Some (tl, _), Some (pl, _) when pl < tl ->
+                      (Tables.Shift q, Tables.By_precedence)
+                  | Some (_, G.Left), Some _ ->
+                      (Tables.Reduce pid, Tables.By_precedence)
+                  | Some (_, G.Right), Some _ ->
+                      (Tables.Shift q, Tables.By_precedence)
+                  | Some (_, G.Nonassoc), Some _ ->
+                      (Tables.Error, Tables.By_precedence)
+                  | _ -> (Tables.Shift q, Tables.By_default)
+                in
+                actions.(cell) <- chosen;
+                conflict s t
+                  (Tables.Shift_reduce { shift_to = q; reduce = pid })
+                  chosen resolution
+            | Tables.Reduce other ->
+                let kept = min other pid and dropped = max other pid in
+                actions.(cell) <- Tables.Reduce kept;
+                conflict s t
+                  (Tables.Reduce_reduce { kept; dropped })
+                  (Tables.Reduce kept) Tables.By_default
+            | Tables.Accept ->
+                conflict s t
+                  (Tables.Shift_reduce { shift_to = s; reduce = pid })
+                  Tables.Accept Tables.By_default)
+          (lookahead ~state:s ~prod:pid))
+      (Lr0.reductions a s)
+  done;
+  (actions, List.rev !conflicts)
+
+(* Every (state, symbol) point lookup — hits and misses — agrees with
+   the transition lists; nonterminal transitions are numbered row-major
+   in (state, nonterminal); and every ACTION cell, row and conflict of
+   the LALR, SLR and NQLALR tables agrees with the dense reference.
+   Returns the first disagreement. *)
+let sparse_lookup_mismatch g =
+  let a = Lr0.build g in
+  let n_t = G.n_terminals g and n_n = G.n_nonterminals g in
+  let fail = ref None in
+  let expect what ok = if (not ok) && !fail = None then fail := Some what in
+  let next_x = ref 0 in
+  for s = 0 to Lr0.n_states a - 1 do
+    let edges = Lr0.transitions a s in
+    for t = 0 to n_t - 1 do
+      expect "goto on a terminal"
+        (Lr0.goto a s (Symbol.T t) = List.assoc_opt (Symbol.T t) edges)
+    done;
+    for m = 0 to n_n - 1 do
+      let target = List.assoc_opt (Symbol.N m) edges in
+      expect "goto on a nonterminal" (Lr0.goto a s (Symbol.N m) = target);
+      match (target, Lr0.find_nt_transition a s m) with
+      | Some q, x ->
+          expect "row-major transition number" (x = !next_x);
+          expect "nt_transition" (Lr0.nt_transition a x = (s, m));
+          expect "nt_transition_target" (Lr0.nt_transition_target a x = q);
+          incr next_x
+      | None, _ -> expect "find_nt_transition hit on a missing edge" false
+      | exception Not_found ->
+          expect "find_nt_transition miss on an edge" (target = None)
+    done
+  done;
+  expect "n_nt_transitions" (Lr0.n_nt_transitions a = !next_x);
+  let methods =
+    [
+      ("lalr", Lalr.lookahead (Lalr.compute a));
+      ("slr", Slr.lookahead (Slr.compute a));
+      ("nqlalr", Nqlalr.lookahead (Nqlalr.compute a));
+    ]
+  in
+  List.iter
+    (fun (name, lookahead) ->
+      let tbl = Tables.build ~lookahead a in
+      let dense, conflicts = dense_reference ~lookahead a in
+      for s = 0 to Lr0.n_states a - 1 do
+        for t = 0 to n_t - 1 do
+          expect (name ^ ": action")
+            (Tables.action tbl ~state:s ~terminal:t = dense.((s * n_t) + t))
+        done;
+        let row = ref [] in
+        Tables.iter_actions tbl s (fun t act -> row := (t, act) :: !row);
+        let dense_row =
+          List.filter
+            (fun (_, act) -> act <> Tables.Error)
+            (List.init n_t (fun t -> (t, dense.((s * n_t) + t))))
+        in
+        expect (name ^ ": iter_actions row") (List.rev !row = dense_row)
+      done;
+      expect (name ^ ": conflicts") (Tables.conflicts tbl = conflicts))
+    methods;
+  !fail
+
+let test_sparse_lookups_suite () =
+  List.iter
+    (fun (name, g) ->
+      match sparse_lookup_mismatch g with
+      | None -> ()
+      | Some what -> Alcotest.failf "%s: %s" name what)
+    (("directions", directions_grammar ())
+    :: List.map
+         (fun (e : Registry.entry) -> (e.name, Lazy.force e.grammar))
+         Registry.all)
+
+let prop_sparse_lookups =
+  QCheck.Test.make ~name:"sparse goto/action = dense reference (random)"
+    ~count:150 (Randgen.arbitrary ()) (fun g ->
+      match sparse_lookup_mismatch g with
+      | None -> true
+      | Some what -> QCheck.Test.fail_report what)
+
+(* Words a call allocates in the major heap: directly (large arrays) or
+   by promotion of what it keeps from the minor heap. *)
+let major_words f =
+  let _, _, m0 = Gc.counters () in
+  let v = f () in
+  let _, _, m1 = Gc.counters () in
+  (v, m1 -. m0)
+
+(* Memory grows with the automaton's transitions and the tables'
+   non-error cells, not with |states| × |symbols|: on the 10× Scaled
+   grammar (7557 states, 1804 terminals, 1981 nonterminals) a dense
+   goto or ACTION array alone is 13.6M+ words, some 500 per transition
+   and 190 per cell. *)
+let test_scaled_allocation_bound () =
+  let g = Scaled.grammar () in
+  let e = Engine.create g in
+  ignore (Engine.analysis e);
+  let a, lr0_words = major_words (fun () -> Engine.lr0 e) in
+  let states, _, transitions = Lr0.size_report a in
+  check_int "10x states" 7557 states;
+  if lr0_words > 64. *. float_of_int transitions then
+    Alcotest.failf "Lr0.build: %.0f major words > 64 x %d transitions"
+      lr0_words transitions;
+  ignore (Engine.lalr e);
+  ignore (Engine.slr e);
+  ignore (Engine.nqlalr e);
+  List.iter
+    (fun (name, build) ->
+      let tbl, words = major_words (fun () -> build e) in
+      let cells = ref 0 in
+      for s = 0 to states - 1 do
+        Tables.iter_actions tbl s (fun _ _ -> incr cells)
+      done;
+      if words > 32. *. float_of_int !cells then
+        Alcotest.failf "%s: %.0f major words > 32 x %d non-error cells" name
+          words !cells)
+    [
+      ("tables", Engine.tables);
+      ("slr_tables", Engine.slr_tables);
+      ("nqlalr_tables", Engine.nqlalr_tables);
+    ];
+  let v = Engine.classification e in
+  check "LALR(1)" true v.Classify.lalr1;
+  check_int "no LALR conflicts" 0
+    (v.Classify.lalr_sr_conflicts + v.Classify.lalr_rr_conflicts)
+
+(* ------------------------------------------------------------------ *)
 (* Classification                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,6 +449,14 @@ let () =
         ] );
       ( "compaction",
         [ Alcotest.test_case "default reductions" `Quick test_default_reductions ] );
+      ( "sparse",
+        [
+          Alcotest.test_case "goto/action = dense reference (suite)" `Quick
+            test_sparse_lookups_suite;
+          QCheck_alcotest.to_alcotest prop_sparse_lookups;
+          Alcotest.test_case "10x Scaled allocation bound" `Quick
+            test_scaled_allocation_bound;
+        ] );
       ( "classify",
         [
           Alcotest.test_case "whole registry" `Slow
