@@ -734,21 +734,6 @@ let faultpoints_cmd =
 (* batch                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The per-response exit code carried in a serve response line; an
    undecodable line counts as the worst outcome (the daemon never
    emits one — seeing it means the transport mangled the stream). *)
@@ -945,7 +930,7 @@ let batch_cmd =
     let emit file r ~retries =
       Format.printf
         "{\"file\":\"%s\",\"exit\":%d,\"status\":\"%s\",\"retries\":%d,\"wall_ms\":%.3f%s%s%s%s%s}@."
-        (json_escape file) r.j_exit r.j_status retries r.j_wall_ms
+        (Trace.json_escape file) r.j_exit r.j_status retries r.j_wall_ms
         (match r.j_lalr1 with
         | Some b -> Printf.sprintf ",\"lalr1\":%b" b
         | None -> "")
@@ -958,17 +943,19 @@ let batch_cmd =
              (String.concat ","
                 (List.map
                    (fun (name, wall) ->
-                     Printf.sprintf "\"%s\":%.3f" (json_escape name)
+                     Printf.sprintf "\"%s\":%.3f" (Trace.json_escape name)
                        (wall *. 1e3))
                    r.j_stages)))
         (if r.j_detail = "" then ""
-         else Printf.sprintf ",\"detail\":\"%s\"" (json_escape r.j_detail))
+         else
+           Printf.sprintf ",\"detail\":\"%s\""
+             (Trace.json_escape r.j_detail))
         (if r.j_completed = [] then ""
          else
            Printf.sprintf ",\"completed\":[%s]"
              (String.concat ","
                 (List.map
-                   (fun s -> Printf.sprintf "\"%s\"" (json_escape s))
+                   (fun s -> Printf.sprintf "\"%s\"" (Trace.json_escape s))
                    r.j_completed)))
     in
     (* One span per attempt, so a trace of a batch run shows a forest of

@@ -1,4 +1,4 @@
-module Vec = Lalr_sets.Vec
+module Bitset = Lalr_sets.Bitset
 module Cell_index = Lalr_sets.Cell_index
 module Budget = Lalr_guard.Budget
 
@@ -12,19 +12,10 @@ type state = {
 type t = {
   grammar : Grammar.t;
   items_tbl : Item.table;
-  states : state array;
-  (* Packed per-state transition rows (DESIGN.md §14): state [s]'s
-     outgoing terminal edges are (tr_t_syms.(i), tr_t_tgts.(i)) for
-     i in [tr_t_offsets.(s) .. tr_t_offsets.(s+1) - 1], symbols
-     ascending; likewise tr_n_* for nonterminals. A nonterminal
-     transition's number is its position i in the tr_n_* rows, so
-     the numbering is row-major (state, nonterminal). *)
-  tr_t_offsets : int array;
-  tr_t_syms : int array;
-  tr_t_tgts : int array;
-  tr_n_offsets : int array;
-  tr_n_syms : int array;
-  tr_n_tgts : int array;
+  (* Kernels, closures and the packed transition rows (DESIGN.md §14).
+     A nonterminal transition's number is its position in the n_* rows,
+     so the numbering is row-major (state, nonterminal). *)
+  c : int Collection.t;
   tr_n_srcs : int array;  (* source state of each nonterminal transition *)
   (* (state, symbol) -> position in the rows above, for point lookups. *)
   t_index : Cell_index.t;
@@ -34,172 +25,76 @@ type t = {
 
 let grammar a = a.grammar
 let items a = a.items_tbl
-let n_states a = Array.length a.states
-let state a i = a.states.(i)
+let n_states a = Collection.n_states a.c
+
+let state a id =
+  let kernel = a.c.kernels.(id) in
+  (* Every kernel item of a state past 0 has the accessing symbol just
+     before its dot. *)
+  let accessing =
+    if id = 0 then None else Item.next_symbol a.items_tbl (kernel.(0) - 1)
+  in
+  { id; kernel; items = a.c.closures.(id); accessing }
 
 (* Closure of a kernel: add initial items of every production of every
-   nonterminal appearing after a dot, to fixpoint. Returns sorted. *)
-let closure g tbl kernel =
-  let added = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec add item =
-    if not (Hashtbl.mem added item) then begin
-      Hashtbl.replace added item ();
-      acc := item :: !acc;
-      match Item.next_symbol tbl item with
-      | Some (Symbol.N n) ->
-          Array.iter
-            (fun pid -> add (Item.initial tbl ~prod:pid))
-            (Grammar.productions_of g n)
-      | Some (Symbol.T _) | None -> ()
-    end
-  in
-  Array.iter add kernel;
-  let arr = Array.of_list !acc in
-  Array.sort Int.compare arr;
-  arr
-
-module Kernel_key = struct
-  type t = int array
-
-  let equal = ( = )
-  let hash (k : int array) = Hashtbl.hash k
-end
-
-module Kernel_tbl = Hashtbl.Make (Kernel_key)
+   nonterminal appearing after a dot, to fixpoint. [mark] stamps the
+   items already added for the kernel being closed. *)
+let closure g tbl =
+  let mark = Array.make (Item.n_items tbl) (-1) and stamp = ref (-1) in
+  fun kernel ->
+    incr stamp;
+    let acc = ref [] in
+    let rec add item =
+      if mark.(item) <> !stamp then begin
+        mark.(item) <- !stamp;
+        acc := item :: !acc;
+        match Item.next_symbol tbl item with
+        | Some (Symbol.N n) ->
+            Array.iter
+              (fun pid -> add (Item.initial tbl ~prod:pid))
+              (Grammar.productions_of g n)
+        | Some (Symbol.T _) | None -> ()
+      end
+    in
+    Array.iter add kernel;
+    Array.of_list !acc
 
 let build g =
   Budget.with_stage "lr0" @@ fun () ->
   let tbl = Item.make g in
-  let states : state Vec.t = Vec.create () in
-  let index = Kernel_tbl.create 256 in
-  let trans : (Symbol.t * int) list Vec.t = Vec.create () in
-  let partial () =
-    Printf.sprintf "%d LR(0) states constructed" (Vec.length states)
+  let c =
+    Collection.build g tbl ~name:"LR(0)" ~compare:Int.compare ~core:Fun.id
+      ~advance:(Item.advance tbl) ~closure:(closure g tbl)
+      (Item.initial tbl ~prod:0)
   in
-  (* Interns a kernel, returns its state id. *)
-  let intern accessing kernel =
-    match Kernel_tbl.find_opt index kernel with
-    | Some id -> id
-    | None ->
-        Budget.count_state ~partial ();
-        let id =
-          Vec.push states
-            { id = Vec.length states; kernel; items = [||]; accessing }
-        in
-        ignore (Vec.push trans []);
-        Kernel_tbl.replace index kernel id;
-        id
-  in
-  let initial_kernel = [| Item.initial tbl ~prod:0 |] in
-  ignore (intern None initial_kernel);
-  (* Worklist: states are processed in id order; new states append. *)
-  let cursor = ref 0 in
-  while !cursor < Vec.length states do
-    Budget.burn ();
-    let s = Vec.get states !cursor in
-    let items = closure g tbl s.kernel in
-    Budget.count_items ~partial (Array.length items);
-    Vec.set states !cursor { s with items };
-    (* Group non-final items by the symbol after the dot. *)
-    let groups : (Symbol.t, int list) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    Array.iter
-      (fun item ->
-        match Item.next_symbol tbl item with
-        | None -> ()
-        | Some sym ->
-            (match Hashtbl.find_opt groups sym with
-            | None ->
-                order := sym :: !order;
-                Hashtbl.replace groups sym [ Item.advance tbl item ]
-            | Some l -> Hashtbl.replace groups sym (Item.advance tbl item :: l)))
-      items;
-    let edges =
-      List.rev_map
-        (fun sym ->
-          let kernel = Array.of_list (List.rev (Hashtbl.find groups sym)) in
-          Array.sort Int.compare kernel;
-          (sym, intern (Some sym) kernel))
-        !order
-    in
-    (* Terminals first, ascending, then nonterminals ascending. *)
-    let edges =
-      List.sort (fun (a, _) (b, _) -> Symbol.compare a b) edges
-    in
-    Vec.set trans !cursor edges;
-    incr cursor
+  let tr_n_srcs = Array.make (Array.length c.n_syms) 0 in
+  for s = 0 to Collection.n_states c - 1 do
+    let lo = c.n_offsets.(s) in
+    Array.fill tr_n_srcs lo (c.n_offsets.(s + 1) - lo) s
   done;
-  let states = Vec.to_array states in
-  let n = Array.length states in
-  (* The packed rows, straight from the already-sorted edge lists
-     (terminals ascending, then nonterminals ascending per state). *)
-  let tr_t_offsets = Array.make (n + 1) 0 in
-  let tr_n_offsets = Array.make (n + 1) 0 in
-  Vec.iteri
-    (fun s edges ->
-      List.iter
-        (fun (sym, _) ->
-          match sym with
-          | Symbol.T _ -> tr_t_offsets.(s + 1) <- tr_t_offsets.(s + 1) + 1
-          | Symbol.N _ -> tr_n_offsets.(s + 1) <- tr_n_offsets.(s + 1) + 1)
-        edges)
-    trans;
-  for s = 1 to n do
-    tr_t_offsets.(s) <- tr_t_offsets.(s) + tr_t_offsets.(s - 1);
-    tr_n_offsets.(s) <- tr_n_offsets.(s) + tr_n_offsets.(s - 1)
-  done;
-  let tr_t_syms = Array.make tr_t_offsets.(n) 0 in
-  let tr_t_tgts = Array.make tr_t_offsets.(n) 0 in
-  let tr_n_syms = Array.make tr_n_offsets.(n) 0 in
-  let tr_n_tgts = Array.make tr_n_offsets.(n) 0 in
-  let tr_n_srcs = Array.make tr_n_offsets.(n) 0 in
-  Vec.iteri
-    (fun s edges ->
-      let i_t = ref tr_t_offsets.(s) and i_n = ref tr_n_offsets.(s) in
-      List.iter
-        (fun (sym, target) ->
-          match sym with
-          | Symbol.T t ->
-              tr_t_syms.(!i_t) <- t;
-              tr_t_tgts.(!i_t) <- target;
-              incr i_t
-          | Symbol.N m ->
-              tr_n_syms.(!i_n) <- m;
-              tr_n_tgts.(!i_n) <- target;
-              tr_n_srcs.(!i_n) <- s;
-              incr i_n)
-        edges)
-    trans;
   let reductions =
     Array.map
-      (fun st ->
-        Array.to_list st.items
+      (fun items ->
+        Array.to_list items
         |> List.filter_map (fun item ->
                if Item.is_final tbl item then
                  let p = Item.prod tbl item in
                  if p = 0 then None else Some p
                else None)
         |> List.sort_uniq Int.compare)
-      states
+      c.closures
   in
   {
     grammar = g;
     items_tbl = tbl;
-    states;
-    tr_t_offsets;
-    tr_t_syms;
-    tr_t_tgts;
-    tr_n_offsets;
-    tr_n_syms;
-    tr_n_tgts;
+    c;
     tr_n_srcs;
     t_index =
-      Cell_index.of_rows ~n_cols:(Grammar.n_terminals g) ~offsets:tr_t_offsets
-        ~cols:tr_t_syms;
+      Cell_index.of_rows ~n_cols:(Grammar.n_terminals g) ~offsets:c.t_offsets
+        ~cols:c.t_syms;
     n_index =
       Cell_index.of_rows ~n_cols:(Grammar.n_nonterminals g)
-        ~offsets:tr_n_offsets ~cols:tr_n_syms;
+        ~offsets:c.n_offsets ~cols:c.n_syms;
     reductions;
   }
 
@@ -208,10 +103,10 @@ let target a s sym =
   match sym with
   | Symbol.T t ->
       let i = Cell_index.find a.t_index ~row:s ~col:t in
-      if i < 0 then -1 else a.tr_t_tgts.(i)
+      if i < 0 then -1 else a.c.t_tgts.(i)
   | Symbol.N m ->
       let i = Cell_index.find a.n_index ~row:s ~col:m in
-      if i < 0 then -1 else a.tr_n_tgts.(i)
+      if i < 0 then -1 else a.c.n_tgts.(i)
 
 let goto a s sym =
   let v = target a s sym in
@@ -228,22 +123,22 @@ let goto_exn a s sym =
 let transitions a s =
   (* Terminals ascending, then nonterminals ascending. *)
   let acc = ref [] in
-  for i = a.tr_n_offsets.(s + 1) - 1 downto a.tr_n_offsets.(s) do
-    acc := (Symbol.N a.tr_n_syms.(i), a.tr_n_tgts.(i)) :: !acc
+  for i = a.c.n_offsets.(s + 1) - 1 downto a.c.n_offsets.(s) do
+    acc := (Symbol.N a.c.n_syms.(i), a.c.n_tgts.(i)) :: !acc
   done;
-  for i = a.tr_t_offsets.(s + 1) - 1 downto a.tr_t_offsets.(s) do
-    acc := (Symbol.T a.tr_t_syms.(i), a.tr_t_tgts.(i)) :: !acc
+  for i = a.c.t_offsets.(s + 1) - 1 downto a.c.t_offsets.(s) do
+    acc := (Symbol.T a.c.t_syms.(i), a.c.t_tgts.(i)) :: !acc
   done;
   !acc
 
 let iter_t_transitions a s f =
-  for i = a.tr_t_offsets.(s) to a.tr_t_offsets.(s + 1) - 1 do
-    f a.tr_t_syms.(i) a.tr_t_tgts.(i)
+  for i = a.c.t_offsets.(s) to a.c.t_offsets.(s + 1) - 1 do
+    f a.c.t_syms.(i) a.c.t_tgts.(i)
   done
 
 let iter_n_transitions a s f =
-  for i = a.tr_n_offsets.(s) to a.tr_n_offsets.(s + 1) - 1 do
-    f a.tr_n_syms.(i) a.tr_n_tgts.(i)
+  for i = a.c.n_offsets.(s) to a.c.n_offsets.(s + 1) - 1 do
+    f a.c.n_syms.(i) a.c.n_tgts.(i)
   done
 
 let reductions a s = a.reductions.(s)
@@ -255,9 +150,9 @@ let traverse a p rhs ~from =
   done;
   !s
 
-let n_nt_transitions a = Array.length a.tr_n_syms
-let nt_transition a x = (a.tr_n_srcs.(x), a.tr_n_syms.(x))
-let nt_transition_target a x = a.tr_n_tgts.(x)
+let n_nt_transitions a = Array.length a.c.n_syms
+let nt_transition a x = (a.tr_n_srcs.(x), a.c.n_syms.(x))
+let nt_transition_target a x = a.c.n_tgts.(x)
 
 let find_nt_transition a p nt =
   let x = Cell_index.find a.n_index ~row:p ~col:nt in
@@ -265,31 +160,28 @@ let find_nt_transition a p nt =
 
 let accept_state a = goto_exn a 0 (Symbol.N a.grammar.start)
 
+let overlaps a ~lookahead =
+  Collection.overlaps a.c ~n_term:(Grammar.n_terminals a.grammar)
+    ~lookaheads:(fun s ->
+      List.map (fun prod -> lookahead ~state:s ~prod) a.reductions.(s))
+
+(* LR(0) reduces on every terminal. The accept state reduces nothing
+   (production 0 excluded) but shifts $; that is fine by construction. *)
 let n_conflict_free_lr0 a =
-  let ok = ref true in
-  Array.iteri
-    (fun s reds ->
-      match reds with
-      | [] -> ()
-      | [ _ ] ->
-          (* any shift on a terminal conflicts *)
-          if a.tr_t_offsets.(s + 1) > a.tr_t_offsets.(s) then ok := false
-      | _ :: _ :: _ -> ok := false)
-    a.reductions;
-  (* The accept state reduces nothing (production 0 excluded) but shifts $;
-     that is fine by construction. *)
-  !ok
+  let n_term = Grammar.n_terminals a.grammar in
+  let every = Bitset.of_list n_term (List.init n_term Fun.id) in
+  overlaps a ~lookahead:(fun ~state:_ ~prod:_ -> every) = (false, false)
 
 let size_report a =
   let kernel_items =
-    Array.fold_left (fun acc s -> acc + Array.length s.kernel) 0 a.states
+    Array.fold_left (fun acc k -> acc + Array.length k) 0 a.c.kernels
   in
-  ( Array.length a.states,
+  ( n_states a,
     kernel_items,
-    Array.length a.tr_t_syms + Array.length a.tr_n_syms )
+    Array.length a.c.t_syms + Array.length a.c.n_syms )
 
 let pp_state a ppf s =
-  let st = a.states.(s) in
+  let st = state a s in
   Format.fprintf ppf "@[<v>state %d" s;
   (match st.accessing with
   | Some sym ->

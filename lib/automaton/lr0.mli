@@ -6,9 +6,10 @@
     dense numbering of nonterminal transitions (the pairs [(p, A)] the
     paper writes) and rhs walks ([traverse]).
 
-    States are numbered from 0 (the initial state). Construction is by
-    kernel hashconsing: a state is identified by its sorted kernel item
-    set; closures are computed once per state and cached. *)
+    States are numbered from 0 (the initial state). Construction is the
+    {!Collection} worklist over LR(0) items: a state is identified by
+    its sorted kernel item set; closures are computed once per state
+    and kept. *)
 
 type state = {
   id : int;
@@ -84,9 +85,19 @@ val accept_state : t -> int
 (** The state reached from state 0 on the user start symbol — the state
     whose [$]-transition is the accept action. *)
 
+val overlaps :
+  t -> lookahead:(state:int -> prod:int -> Lalr_sets.Bitset.t) -> bool * bool
+(** The raw conflicts under the given look-ahead sets, precedence
+    ignored, as two flags: some reduction's look-ahead meets a terminal
+    its state shifts ([$] out of the accept state included), and two
+    reductions of one state have overlapping look-aheads. The LR(0),
+    SLR(1), NQLALR(1) and LALR(1) verdicts all come from this one scan
+    ({!Collection.overlaps}). *)
+
 val n_conflict_free_lr0 : t -> bool
 (** True iff the grammar is LR(0): no state has both a reduction and a
-    shift, nor two reductions. *)
+    shift, nor two reductions — {!overlaps} with every terminal as the
+    look-ahead of every reduction. *)
 
 val size_report : t -> int * int * int
 (** (states, total kernel items, total transitions) — the T1 columns. *)

@@ -1,114 +1,58 @@
 module Kstring = Lalr_sets.Kstring
 module KSet = Kstring.Set
-module Vec = Lalr_sets.Vec
 module Item = Lalr_automaton.Item
 module Lr0 = Lalr_automaton.Lr0
+module Collection = Lalr_automaton.Collection
 module Budget = Lalr_guard.Budget
 
-(* An LR(k) item is an LR(0) item with one ≤k-string. States are sorted
-   lists of items, interned by structural equality. *)
+(* An LR(k) item is an LR(0) item with one ≤k-string. *)
 
 type item = int * int list
 
-type state = { kernel : item list; mutable closure : item list }
+type t = { grammar : Grammar.t; items : Item.table; c : item Collection.t }
 
-type t = {
-  grammar : Grammar.t;
-  items : Item.table;
-  k : int;
-  states : state array;
-}
+let n_states t = Collection.n_states t.c
 
-let k t = t.k
-let n_states t = Array.length t.states
-
-module Kernel_tbl = Hashtbl.Make (struct
-  type t = item list
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
-let closure_of g tbl firstk kk kernel =
+let closure g tbl firstk kk kernel =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  let queue = Queue.create () in
-  let add (item : item) =
+  let rec add ((lr0, w) as item) =
     if not (Hashtbl.mem seen item) then begin
       Hashtbl.replace seen item ();
       acc := item :: !acc;
-      Queue.add item queue
+      match Item.next_symbol tbl lr0 with
+      | Some (Symbol.N b) ->
+          let prod = Grammar.production g (Item.prod tbl lr0) in
+          let suffix_first =
+            Firstk.sentence firstk prod.rhs ~from:(Item.dot tbl lr0 + 1)
+          in
+          let contexts =
+            Kstring.concat_sets kk suffix_first (KSet.singleton w)
+          in
+          Array.iter
+            (fun pid ->
+              let init = Item.initial tbl ~prod:pid in
+              KSet.iter (fun u -> add (init, u)) contexts)
+            (Grammar.productions_of g b)
+      | Some (Symbol.T _) | None -> ()
     end
   in
-  List.iter add kernel;
-  while not (Queue.is_empty queue) do
-    let lr0, w = Queue.pop queue in
-    match Item.next_symbol tbl lr0 with
-    | Some (Symbol.N b) ->
-        let prod = Grammar.production g (Item.prod tbl lr0) in
-        let dot = Item.dot tbl lr0 in
-        let suffix_first = Firstk.sentence firstk prod.rhs ~from:(dot + 1) in
-        let contexts =
-          Kstring.concat_sets kk suffix_first (KSet.singleton w)
-        in
-        Array.iter
-          (fun pid ->
-            let init = Item.initial tbl ~prod:pid in
-            KSet.iter (fun u -> add (init, u)) contexts)
-          (Grammar.productions_of g b)
-    | Some (Symbol.T _) | None -> ()
-  done;
-  List.sort compare !acc
+  Array.iter add kernel;
+  Array.of_list !acc
 
 let build ~k:kk g =
   if kk < 1 then invalid_arg "Lrk.build: k must be >= 1";
   Budget.with_stage "lr(k)" @@ fun () ->
   let tbl = Item.make g in
   let firstk = Firstk.compute ~k:kk g in
-  let states : state Vec.t = Vec.create () in
-  let index = Kernel_tbl.create 1024 in
-  let partial () =
-    Printf.sprintf "%d LR(%d) states constructed" (Vec.length states) kk
+  let c =
+    Collection.build g tbl ~name:(Printf.sprintf "LR(%d)" kk) ~compare
+      ~core:fst
+      ~advance:(fun (lr0, w) -> (lr0 + 1, w))
+      ~closure:(closure g tbl firstk kk)
+      (Item.initial tbl ~prod:0, [])
   in
-  let intern kernel =
-    match Kernel_tbl.find_opt index kernel with
-    | Some id -> id
-    | None ->
-        Budget.count_state ~partial ();
-        let id = Vec.push states { kernel; closure = [] } in
-        Kernel_tbl.replace index kernel id;
-        id
-  in
-  ignore (intern [ (Item.initial tbl ~prod:0, []) ]);
-  let cursor = ref 0 in
-  while !cursor < Vec.length states do
-    Budget.burn ();
-    let s = Vec.get states !cursor in
-    let closure = closure_of g tbl firstk kk s.kernel in
-    Budget.count_items ~partial (List.length closure);
-    s.closure <- closure;
-    let groups : (Symbol.t, item list) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (lr0, w) ->
-        match Item.next_symbol tbl lr0 with
-        | None -> ()
-        | Some sym ->
-            let advanced = (Item.advance tbl lr0, w) in
-            (match Hashtbl.find_opt groups sym with
-            | None ->
-                order := sym :: !order;
-                Hashtbl.replace groups sym [ advanced ]
-            | Some l -> Hashtbl.replace groups sym (advanced :: l)))
-      closure;
-    List.iter
-      (fun sym ->
-        let kernel = List.sort compare (Hashtbl.find groups sym) in
-        ignore (intern kernel))
-      (List.rev !order);
-    incr cursor
-  done;
-  { grammar = g; items = tbl; k = kk; states = Vec.to_array states }
+  { grammar = g; items = tbl; c }
 
 let build_opt ~k g = if k < 1 then None else Some (build ~k g)
 
@@ -117,18 +61,18 @@ let merged_lookaheads t (lr0 : Lr0.t) =
     invalid_arg "Lrk.merged_lookaheads: different grammars";
   let core_index = Hashtbl.create 256 in
   for s = 0 to Lr0.n_states lr0 - 1 do
-    Hashtbl.replace core_index (Array.to_list (Lr0.state lr0 s).kernel) s
+    Hashtbl.replace core_index (Lr0.state lr0 s).kernel s
   done;
   let result : (int * int, KSet.t) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun st ->
+  Array.iteri
+    (fun s kernel ->
       let core =
-        List.map fst st.kernel |> List.sort_uniq Int.compare
+        Array.to_list kernel |> List.map fst |> List.sort_uniq Int.compare
       in
-      match Hashtbl.find_opt core_index core with
+      match Hashtbl.find_opt core_index (Array.of_list core) with
       | None -> invalid_arg "Lrk.merged_lookaheads: core not an LR(0) state"
       | Some q ->
-          List.iter
+          Array.iter
             (fun (lr0_item, w) ->
               if Item.is_final t.items lr0_item then begin
                 let pid = Item.prod t.items lr0_item in
@@ -140,6 +84,6 @@ let merged_lookaheads t (lr0 : Lr0.t) =
                   in
                   Hashtbl.replace result (q, pid) (KSet.add w prev)
               end)
-            st.closure)
-    t.states;
+            t.c.closures.(s))
+    t.c.kernels;
   result

@@ -1,7 +1,8 @@
 (** Canonical LR(k) construction — the reference implementation the
     LALR(k) extension is validated against.
 
-    Direct generalisation of {!Lr1}: items carry a ≤k-string of
+    Direct generalisation of {!Lr1}, built by the same
+    {!Lalr_automaton.Collection} worklist: items carry a ≤k-string of
     look-ahead terminals; closure concatenates FIRSTk of the suffix with
     the item's string. State counts explode quickly in [k] — this
     exists for cross-validation on small grammars, not for production
@@ -17,7 +18,6 @@ val build : k:int -> Grammar.t -> t
 val build_opt : k:int -> Grammar.t -> t option
 (** Non-raising {!build}: [None] when [k < 1]. *)
 
-val k : t -> int
 val n_states : t -> int
 
 val merged_lookaheads :

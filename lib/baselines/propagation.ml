@@ -33,42 +33,6 @@ let kernel_slot t ~state ~item =
 
 let kernel_lookahead t ~state ~item = t.lookaheads.(kernel_slot t ~state ~item)
 
-(* LR(1) closure of a single kernel item with look-ahead #, where # is
-   represented by terminal id [n_term] in a universe of n_term + 1.
-   Returns the closure as a list of (lr0_item, la) pairs. *)
-let closure_with_hash g tbl analysis n_term item =
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
-  let queue = Queue.create () in
-  let hash_la = n_term in
-  let add lr0 la =
-    let key = (lr0 * (n_term + 1)) + la in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      acc := (lr0, la) :: !acc;
-      Queue.add (lr0, la) queue
-    end
-  in
-  add item hash_la;
-  while not (Queue.is_empty queue) do
-    let lr0, la = Queue.pop queue in
-    match Item.next_symbol tbl lr0 with
-    | Some (Symbol.N b) ->
-        let prod = Grammar.production g (Item.prod tbl lr0) in
-        let dot = Item.dot tbl lr0 in
-        let first, nullable =
-          Analysis.first_sentence analysis prod.rhs ~from:(dot + 1)
-        in
-        Array.iter
-          (fun pid ->
-            let init = Item.initial tbl ~prod:pid in
-            Bitset.iter (fun b_la -> add init b_la) first;
-            if nullable then add init la)
-          (Grammar.productions_of g b)
-    | Some (Symbol.T _) | None -> ()
-  done;
-  !acc
-
 let compute (a : Lr0.t) =
   Budget.with_stage "propagation" @@ fun () ->
   let g = Lr0.grammar a in
@@ -97,7 +61,10 @@ let compute (a : Lr0.t) =
     in
     find 0
   in
-  (* Pass 1: spontaneous look-aheads and propagation edges. *)
+  (* Pass 1: spontaneous look-aheads and propagation edges. The LR(1)
+     closure runs over n_term + 1 look-aheads, n_term standing for #. *)
+  let n_la = n_term + 1 in
+  let closure = Lr1.closure g tbl analysis ~n_la in
   let edges = Array.make !total [] in
   let spontaneous = ref 0 in
   let propagate_edges = ref 0 in
@@ -107,8 +74,9 @@ let compute (a : Lr0.t) =
       (fun kitem ->
         Budget.burn ();
         let src = slot p kitem in
-        List.iter
-          (fun (lr0, la) ->
+        Array.iter
+          (fun packed ->
+            let lr0 = packed / n_la and la = packed mod n_la in
             match Item.next_symbol tbl lr0 with
             | None -> ()
             | Some sym ->
@@ -123,7 +91,7 @@ let compute (a : Lr0.t) =
                   Bitset.add lookaheads.(dst) la;
                   incr spontaneous
                 end)
-          (closure_with_hash g tbl analysis n_term kitem))
+          (closure [| (kitem * n_la) + n_term |]))
       (Lr0.state a p).kernel
   done;
   (* Pass 2: round-based propagation to fixpoint, as in yacc. *)

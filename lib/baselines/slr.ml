@@ -1,4 +1,3 @@
-module Bitset = Lalr_sets.Bitset
 module Lr0 = Lalr_automaton.Lr0
 
 type t = { automaton : Lr0.t; analysis : Analysis.t }
@@ -18,21 +17,4 @@ let lookahead t ~state:_ ~prod =
   Analysis.follow t.analysis (Grammar.production g prod).lhs
 
 let is_slr1 t =
-  let a = t.automaton in
-  let g = Lr0.grammar a in
-  let n_term = Grammar.n_terminals g in
-  let ok = ref true in
-  for q = 0 to Lr0.n_states a - 1 do
-    let reds = Lr0.reductions a q in
-    if reds <> [] then begin
-      let seen = Bitset.create n_term in
-      Lr0.iter_t_transitions a q (fun tt _ -> Bitset.add seen tt);
-      List.iter
-        (fun pid ->
-          let set = lookahead t ~state:q ~prod:pid in
-          if not (Bitset.disjoint set seen) then ok := false;
-          ignore (Bitset.union_into ~into:seen set))
-        reds
-    end
-  done;
-  !ok
+  Lr0.overlaps t.automaton ~lookahead:(lookahead t) = (false, false)

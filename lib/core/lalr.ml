@@ -366,29 +366,7 @@ let lookahead t ~state ~prod = t.la.(find_reduction t ~state ~prod)
 let diagnostics t = t.diagnostics
 let stats t = t.stats
 
-(* The raw conflicts, precedence ignored, as two flags: some reduce
-   look-ahead meets a terminal its state shifts ($ out of the accept
-   state included), and two reduce look-aheads of one state meet. *)
-let overlaps t =
-  let a = t.automaton in
-  let n_term = Grammar.n_terminals (grammar t) in
-  let sr = ref false and rr = ref false in
-  for q = 0 to Lr0.n_states a - 1 do
-    let reds = Lr0.reductions a q in
-    if reds <> [] then begin
-      let shiftable = Bitset.create n_term in
-      Lr0.iter_t_transitions a q (fun tt _ -> Bitset.add shiftable tt);
-      let reduced = Bitset.create n_term in
-      List.iter
-        (fun pid ->
-          let set = lookahead t ~state:q ~prod:pid in
-          if not (Bitset.disjoint set shiftable) then sr := true;
-          if not (Bitset.disjoint set reduced) then rr := true;
-          ignore (Bitset.union_into ~into:reduced set))
-        reds
-    end
-  done;
-  (!sr, !rr)
+let overlaps t = Lr0.overlaps t.automaton ~lookahead:(lookahead t)
 
 let is_lalr1 t = overlaps t = (false, false)
 

@@ -90,29 +90,15 @@ let pp_exceeded ppf e =
   | Some p -> Format.fprintf ppf "@,  partial: %s" p
   | None -> ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let exceeded_to_json e =
   Printf.sprintf
     "{\"error\":\"budget_exceeded\",\"stage\":\"%s\",\"resource\":\"%s\",\
      \"consumed\":%g,\"cap\":%g,\"partial\":%s}"
-    (json_escape e.ex_stage)
+    (Lalr_trace.Trace.json_escape e.ex_stage)
     (resource_name e.ex_resource)
     e.ex_consumed e.ex_cap
     (match e.ex_partial with
-    | Some p -> Printf.sprintf "\"%s\"" (json_escape p)
+    | Some p -> Printf.sprintf "\"%s\"" (Lalr_trace.Trace.json_escape p)
     | None -> "null")
 
 (* ------------------------------------------------------------------ *)

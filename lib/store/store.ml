@@ -24,8 +24,12 @@ type t = {
    4: the sparse automaton — Lr0.t lost its dense goto arrays for a
    hashed cell index over the packed rows, and Tables.t its dense
    ACTION matrix for packed rows plus the same index; Nqlalr.t keys
-   its look-aheads by reduction number. *)
-let format_version = 4
+   its look-aheads by reduction number.
+   5: one canonical-collection builder — Lr0.t and Lr1.t each hold a
+   Collection.t (kernels, closures, packed transition rows) in place
+   of Lr0's state records and row arrays and Lr1's state records and
+   per-state transition lists. *)
+let format_version = 5
 
 let magic = "LALRART1"
 

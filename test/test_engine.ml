@@ -249,6 +249,16 @@ let test_golden_experiments_t2 () =
     (read_file "golden/experiments_t2.txt")
     (render E.t2)
 
+(* T5 builds canonical LR(1) for every language grammar: its state
+   counts pin the collection size, which merged look-aheads alone
+   cannot (a builder that failed to merge equal kernels would still
+   merge to the same sets). *)
+let test_golden_experiments_t5 () =
+  Alcotest.(check string)
+    "experiments t5 unchanged"
+    (read_file "golden/experiments_t5.txt")
+    (render E.t5)
+
 let golden_tables name file () =
   let e = Engine.create (grammar_of name) in
   Alcotest.(check string)
@@ -360,6 +370,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "experiments t2" `Quick test_golden_experiments_t2;
+          Alcotest.test_case "experiments t5" `Quick test_golden_experiments_t5;
           Alcotest.test_case "tables mini-c" `Quick
             (golden_tables "mini-c" "tables_mini_c.txt");
           Alcotest.test_case "tables expr" `Quick

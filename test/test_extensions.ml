@@ -14,6 +14,7 @@ module Lr0 = Lalr_automaton.Lr0
 module Lalr = Lalr_core.Lalr
 module Lalr_k = Lalr_core.Lalr_k
 module Lrk = Lalr_baselines.Lrk
+module Lr1 = Lalr_baselines.Lr1
 module Tables = Lalr_tables.Tables
 module Compact = Lalr_tables.Compact
 module Token = Lalr_runtime.Token
@@ -121,6 +122,9 @@ let cross_validate_k g kk =
   (* Same domain in both directions. *)
   let exact = Lalr.compute a in
   if Hashtbl.length merged <> Lalr.n_reductions exact then ok := false;
+  (* The LR(1) and LR(k) instances of the one builder agree at k = 1. *)
+  if kk = 1 && Lrk.n_states (Lrk.build ~k:1 g) <> Lr1.n_states (Lr1.build g)
+  then ok := false;
   !ok
 
 let test_lalrk_vs_canonical_suite () =
