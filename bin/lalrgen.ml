@@ -336,21 +336,6 @@ let classify_cmd =
                 (match p.Engine.pr_completed with
                 | [] -> "(none)"
                 | l -> String.concat ", " l);
-              (* Whatever per-method tables finished are memory reads
-                 now: render their conflict reports as the partial
-                 verdict. *)
-              List.iter
-                (fun (slot, label, m) ->
-                  if List.mem slot p.Engine.pr_completed then begin
-                    Format.printf "@.%s conflicts (partial):@." label;
-                    Describe.conflicts Format.std_formatter
-                      (Engine.tables_for e m)
-                  end)
-                [
-                  ("tables", "lalr", `Lalr);
-                  ("slr_tables", "slr", `Slr);
-                  ("nqlalr_tables", "nqlalr", `Nqlalr);
-                ];
               exit (exit_of_failure failure))
   in
   let with_lr1 =

@@ -47,7 +47,9 @@ let () =
   let g = Lazy.force (Registry.find "nqlalr-gap").grammar in
   let a = Lr0.build g in
   let nq_tbl =
-    Tables.build ~lookahead:(Nqlalr.lookahead (Nqlalr.compute a)) a
+    Tables.build
+      ~lookahead:(Nqlalr.lookahead (Nqlalr.compute (Lalr.relations a)))
+      a
   in
   Format.printf "Under NQLALR's state-merged Follow sets instead:@.";
   Describe.conflicts Format.std_formatter nq_tbl;
@@ -61,11 +63,12 @@ let () =
     (fun (e : Registry.entry) ->
       let g = Lazy.force e.grammar in
       let a = Lr0.build g in
-      let t = Lalr.compute a in
+      let r = Lalr.relations a in
+      let t = Lalr.of_stages r (Lalr.solve_follow r) in
       let lalr_tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
       let slr_tbl = Tables.build ~lookahead:(Slr.lookahead (Slr.compute a)) a in
       let nq_tbl =
-        Tables.build ~lookahead:(Nqlalr.lookahead (Nqlalr.compute a)) a
+        Tables.build ~lookahead:(Nqlalr.lookahead (Nqlalr.compute r)) a
       in
       Format.printf
         "%-12s LALR %d s/r %d r/r   SLR %d s/r %d r/r   NQLALR %d s/r %d r/r@."

@@ -14,14 +14,20 @@
     same [goto] target need different look-aheads — NQLALR then reports
     conflicts on perfectly LALR(1) grammars. The containment and a
     witness grammar are in the test suite; experiment T5 counts the
-    spurious conflicts over the benchmark suite. *)
+    spurious conflicts over the benchmark suite.
+
+    The computation is that merge, applied to the exact relations: the
+    [reads] and [includes] graph of {!Lalr_core.Lalr.relations} is
+    projected through [goto] onto states, each state is seeded with the
+    [DR] of the transitions into it, one {!Lalr_sets.Digraph} run over
+    the states yields [FollowNQ], and each reduction's look-ahead is the
+    union of [FollowNQ(goto(p,A))] over its exact [lookback]. *)
 
 type t
 
-val compute : ?analysis:Analysis.t -> Lalr_automaton.Lr0.t -> t
-(** [?analysis] must be the analysis of the automaton's grammar when
-    supplied (a memoizing caller passes its cached copy); it is
-    recomputed otherwise. *)
+val compute : Lalr_core.Lalr.relations -> t
+(** The NQLALR sets over the given relations. Reductions share the
+    relations' numbering. *)
 
 val automaton : t -> Lalr_automaton.Lr0.t
 

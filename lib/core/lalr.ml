@@ -88,6 +88,14 @@ let find_reduction_opt ~offsets ~pairs ~state ~prod =
     if !found < 0 then None else Some !found
   end
 
+let reduction_index r ~state ~prod =
+  match
+    find_reduction_opt ~offsets:r.r_reduction_offsets
+      ~pairs:r.r_reduction_pairs ~state ~prod
+  with
+  | Some i -> i
+  | None -> raise Not_found
+
 let relations ?analysis (a : Lr0.t) =
   Budget.with_stage "relations" @@ fun () ->
   let g = Lr0.grammar a in

@@ -104,6 +104,11 @@ val relations : ?analysis:Analysis.t -> Lalr_automaton.Lr0.t -> relations
     grammar when supplied (a memoizing caller passes its cached copy);
     it is recomputed otherwise. *)
 
+val reduction_index : relations -> state:int -> prod:int -> int
+(** The reduction number of [(state, prod)], the one {!find_reduction}
+    returns. Raises [Not_found] if that state does not reduce that
+    production. *)
+
 type follow_sets = {
   f_read : Bitset.t array;
   f_follow : Bitset.t array;

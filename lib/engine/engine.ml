@@ -272,9 +272,8 @@ let slr e =
   forceb e e.slr_s (fun () -> Slr.compute ~analysis:an a)
 
 let nqlalr e =
-  let an = analysis e in
-  let a = lr0 e in
-  forceb e e.nqlalr_s (fun () -> Nqlalr.compute ~analysis:an a)
+  let r = relations e in
+  forceb e e.nqlalr_s (fun () -> Nqlalr.compute r)
 
 let propagation e =
   let a = lr0 e in
@@ -311,9 +310,6 @@ let classification ?(with_lr1 = false) e =
   let lalr_v = lalr e in
   let slr_v = slr e in
   let nqlalr_v = nqlalr e in
-  let lalr_tbl = tables e in
-  let slr_tbl = slr_tables e in
-  let nq_tbl = nqlalr_tables e in
   (* The LALR(1) sets decide LR(1)-ness unless every conflict is
      reduce/reduce; only then is the canonical collection worth its
      cost, and only on grammars small enough to afford it. *)
@@ -327,8 +323,7 @@ let classification ?(with_lr1 = false) e =
   in
   let a = lr0 e in
   forceb e s (fun () ->
-      Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v ~lalr_tbl
-        ~slr_tbl ~nq_tbl ~lr1:lr1_v a)
+      Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v ~lr1:lr1_v a)
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                      *)

@@ -6,21 +6,21 @@
     {v
     analysis (nullable/FIRST/FOLLOW)
         │
-       lr0 ──────────────┬──────────┬──────────┬─────────────┐
-        │                │          │          │             │
-    relations          slr       nqlalr   propagation       lr1
-    (DR/reads/           │          │          │         (canonical)
-     includes/        slr_tables nqlalr_tables│             │
-     lookback)           │          │          │             │
-        │                │          │          │             │
-     follow              └──────────┴───── classification ───┘
-        │                                      ▲
-       la (the DeRemer–Pennello sets)          │
-        │                                      │
-     tables ───────────────────────────────────┘
+       lr0 ──────────────┬─────────────┬─────────────┐
+        │                │             │             │
+    relations           slr       propagation       lr1
+    (DR/reads/           │                       (canonical)
+     includes/           │                           │
+     lookback) ──┐       │                           │
+        │      nqlalr    │                           │
+     follow      │       │                           │
+        │        │       │                           │
+       la ───────┴───────┴──── classification ───────┘
     v}
 
-    — and every consumer (the CLI, the lint passes, the report
+    — plus the ACTION/GOTO slots [tables], [slr_tables] and
+    [nqlalr_tables], which hang off [la], [slr] and [nqlalr] and feed
+    no other slot — and every consumer (the CLI, the lint passes, the report
     printers, the experiment tables, the benchmarks) needs some
     subtree of it. An [Engine.t] owns that state for one grammar:
     each artifact lives in a {e slot} that is computed on first demand
@@ -185,7 +185,11 @@ val lalr : t -> Lalr_core.Lalr.t
     sets. Shares the arrays of {!relations} and {!follow}. *)
 
 val slr : t -> Lalr_baselines.Slr.t
+
 val nqlalr : t -> Lalr_baselines.Nqlalr.t
+(** The NQLALR sets, projected from the {!relations} slot (paper §7):
+    no walk of its own over the grammar. *)
+
 val propagation : t -> Lalr_baselines.Propagation.t
 val lr1 : t -> Lalr_baselines.Lr1.t
 (** The canonical LR(1) machine — the one genuinely expensive slot.
@@ -211,7 +215,9 @@ val lr1_limit : int
     possibly wrongly. *)
 
 val classification : ?with_lr1:bool -> t -> Lalr_tables.Classify.verdict
-(** The full hierarchy verdict, assembled from the slots above.
+(** The full hierarchy verdict, assembled from the [lr0], [la], [slr]
+    and [nqlalr] slots. It counts each method's conflicts with
+    {!Lalr_tables.Tables.count_conflicts} and forces no table slot.
     LR(1)-ness comes from {!Lalr_core.Lalr.is_lr1} where the LALR(1)
     sets decide it: LALR(1)-clean means LR(1), and any shift/reduce
     overlap means not LR(1). Only when every conflict is reduce/reduce

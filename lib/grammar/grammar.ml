@@ -60,7 +60,7 @@ let make ?(name = "grammar") ?(prec = []) ?locs ~terminals ~start ~rules () =
       Hashtbl.add tmap n i)
     terminal_names;
   (* Nonterminal table: augmented start first, then lhs in order of first
-     appearance. *)
+     appearance ([nt_order] holds them newest first). *)
   let nt_order = ref [] in
   let ntmap = Hashtbl.create 64 in
   (* The augmented start needs a name not already taken by a terminal or
@@ -81,12 +81,12 @@ let make ?(name = "grammar") ?(prec = []) ?locs ~terminals ~start ~rules () =
       invalid_arg
         (Printf.sprintf "Grammar.make: %S is both a terminal and an lhs" n);
     if not (Hashtbl.mem ntmap n) then begin
-      Hashtbl.add ntmap n (List.length !nt_order);
-      nt_order := !nt_order @ [ n ]
+      Hashtbl.add ntmap n (Hashtbl.length ntmap);
+      nt_order := n :: !nt_order
     end
   in
   List.iter (fun (lhs, _, _) -> declare_nt lhs) rules;
-  let nonterminal_names = Array.of_list !nt_order in
+  let nonterminal_names = Array.of_list (List.rev !nt_order) in
   let start_id =
     match Hashtbl.find_opt ntmap start with
     | Some i -> i

@@ -113,13 +113,25 @@ let diff a b =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
+(* The position of the lowest set bit of a nonzero word, by halving. *)
+let lowest_bit w =
+  let w = w land -w and n = ref 0 in
+  let w = if w land 0xFFFFFFFF = 0 then (n := 32; w lsr 32) else w in
+  let w = if w land 0xFFFF = 0 then (n := !n + 16; w lsr 16) else w in
+  let w = if w land 0xFF = 0 then (n := !n + 8; w lsr 8) else w in
+  let w = if w land 0xF = 0 then (n := !n + 4; w lsr 4) else w in
+  let w = if w land 0x3 = 0 then (n := !n + 2; w lsr 2) else w in
+  if w land 0x1 = 0 then !n + 1 else !n
+
+(* Visits members only, lowest first: a set's members are few and
+   spread over many words. *)
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to word_bits - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * word_bits) + b)
-      done
+    let word = ref t.words.(w) in
+    while !word <> 0 do
+      f ((w * word_bits) + lowest_bit !word);
+      word := !word land (!word - 1)
+    done
   done
 
 let fold f t acc =

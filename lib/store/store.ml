@@ -28,8 +28,11 @@ type t = {
    5: one canonical-collection builder — Lr0.t and Lr1.t each hold a
    Collection.t (kernels, closures, packed transition rows) in place
    of Lr0's state records and row arrays and Lr1's state records and
-   per-state transition lists. *)
-let format_version = 5
+   per-state transition lists.
+   6: Nqlalr.t is the look-ahead sets over the exact relations it was
+   projected from, in their reduction numbering, in place of its own
+   FollowNQ array and reduction index. *)
+let format_version = 6
 
 let magic = "LALRART1"
 

@@ -21,7 +21,7 @@ type verdict = {
   nq_rr_conflicts : int;
 }
 
-let assemble ~lalr ~slr ~nqlalr ~lalr_tbl ~slr_tbl ~nq_tbl ~lr1 a =
+let assemble ~lalr ~slr ~nqlalr ~lr1 a =
   let lalr1 = Lalr.is_lalr1 lalr in
   let not_lr_k =
     List.exists
@@ -33,6 +33,10 @@ let assemble ~lalr ~slr ~nqlalr ~lalr_tbl ~slr_tbl ~nq_tbl ~lr1 a =
     | Some c -> (Lr1.is_lr1 c, Lr1.n_states c)
     | None -> (lalr1, 0)
   in
+  let count lookahead = Tables.count_conflicts ~lookahead a in
+  let lalr_sr_conflicts, lalr_rr_conflicts = count (Lalr.lookahead lalr) in
+  let slr_sr_conflicts, slr_rr_conflicts = count (Slr.lookahead slr) in
+  let nq_sr_conflicts, nq_rr_conflicts = count (Nqlalr.lookahead nqlalr) in
   {
     lr0 = Lr0.n_conflict_free_lr0 a;
     slr1 = Slr.is_slr1 slr;
@@ -42,24 +46,20 @@ let assemble ~lalr ~slr ~nqlalr ~lalr_tbl ~slr_tbl ~nq_tbl ~lr1 a =
     not_lr_k;
     lr0_states = Lr0.n_states a;
     lr1_states;
-    lalr_sr_conflicts = Tables.n_shift_reduce lalr_tbl;
-    lalr_rr_conflicts = Tables.n_reduce_reduce lalr_tbl;
-    slr_sr_conflicts = Tables.n_shift_reduce slr_tbl;
-    slr_rr_conflicts = Tables.n_reduce_reduce slr_tbl;
-    nq_sr_conflicts = Tables.n_shift_reduce nq_tbl;
-    nq_rr_conflicts = Tables.n_reduce_reduce nq_tbl;
+    lalr_sr_conflicts;
+    lalr_rr_conflicts;
+    slr_sr_conflicts;
+    slr_rr_conflicts;
+    nq_sr_conflicts;
+    nq_rr_conflicts;
   }
 
 let classify_common ~with_lr1 g =
   let a = Lr0.build g in
-  let lalr = Lalr.compute a in
-  let slr = Slr.compute a in
-  let nqlalr = Nqlalr.compute a in
-  let lalr_tbl = Tables.build ~lookahead:(Lalr.lookahead lalr) a in
-  let slr_tbl = Tables.build ~lookahead:(Slr.lookahead slr) a in
-  let nq_tbl = Tables.build ~lookahead:(Nqlalr.lookahead nqlalr) a in
+  let r = Lalr.relations a in
+  let lalr = Lalr.of_stages r (Lalr.solve_follow r) in
   let lr1 = if with_lr1 then Some (Lr1.build g) else None in
-  assemble ~lalr ~slr ~nqlalr ~lalr_tbl ~slr_tbl ~nq_tbl ~lr1 a
+  assemble ~lalr ~slr:(Slr.compute a) ~nqlalr:(Nqlalr.compute r) ~lr1 a
 
 let classify g = classify_common ~with_lr1:true g
 let classify_no_lr1 g = classify_common ~with_lr1:false g

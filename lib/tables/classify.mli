@@ -29,17 +29,15 @@ val assemble :
   lalr:Lalr_core.Lalr.t ->
   slr:Lalr_baselines.Slr.t ->
   nqlalr:Lalr_baselines.Nqlalr.t ->
-  lalr_tbl:Tables.t ->
-  slr_tbl:Tables.t ->
-  nq_tbl:Tables.t ->
   lr1:Lalr_baselines.Lr1.t option ->
   Lalr_automaton.Lr0.t ->
   verdict
 (** Builds a verdict from precomputed artifacts (all for the same
     grammar and LR(0) automaton). [lr1 = None] behaves like
-    {!classify_no_lr1}. This is how the memoizing engine classifies
-    without recomputing any layer; {!classify}/{!classify_no_lr1} are
-    the from-scratch wrappers. *)
+    {!classify_no_lr1}. The conflict counts come from
+    {!Tables.count_conflicts}, so no table is built. This is how the
+    memoizing engine classifies without recomputing any layer;
+    {!classify}/{!classify_no_lr1} are the from-scratch wrappers. *)
 
 val classify : Grammar.t -> verdict
 (** Builds the LR(0) and LR(1) automata and all look-ahead variants.

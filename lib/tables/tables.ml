@@ -59,49 +59,34 @@ let resolve_sr g ~shift_to ~terminal ~reduce =
   | Some (_, Grammar.Nonassoc), Some _ -> (Error, By_precedence)
   | _ -> (Shift shift_to, By_default)
 
-let build ~lookahead (a : Lr0.t) =
+(* The yacc rule for one state's ACTION row. [row_resolver a ~conflict
+   ~cell] returns [resolve s las], which fills a scratch row reused
+   across states: shifts, then accept on $ out of the accept state,
+   then each reduction's look-ahead ([las], ascending production
+   order), passing every clash to [conflict]. A cell that nonassoc
+   turned into Error takes a later reduction on the same terminal with
+   no conflict. It then calls [cell terminal action] on the written
+   cells in terminal order, Error ones included, and resets the row. *)
+let row_resolver a ~conflict ~cell =
   let g = Lr0.grammar a in
   let n_term = Grammar.n_terminals g in
-  let n_states = Lr0.n_states a in
   let accept = Lr0.accept_state a in
+  let row = Array.make n_term Error and touched = Bitset.create n_term in
   (* Cells share one Shift/Reduce value per target/production instead
      of allocating one per cell. *)
-  let shift_to = Array.init n_states (fun q -> Shift q) in
+  let shift_to = Array.init (Lr0.n_states a) (fun q -> Shift q) in
   let reduce_by = Array.init (Grammar.n_productions g) (fun p -> Reduce p) in
-  (* Each reduction's look-ahead, fetched once. Shifts plus look-ahead
-     sizes bound the row lengths, so the packed rows are allocated once
-     (conflicting cells are counted twice and leave a little slack). *)
-  let las =
-    Array.init n_states (fun s ->
-        List.map (fun pid -> (pid, lookahead ~state:s ~prod:pid))
-          (Lr0.reductions a s))
+  let clash state terminal kind chosen resolution =
+    conflict { state; terminal; kind; chosen; resolution }
   in
-  let bound = ref 1 in
-  for s = 0 to n_states - 1 do
-    Lr0.iter_t_transitions a s (fun _ _ -> incr bound);
-    List.iter (fun (_, la) -> bound := !bound + Bitset.cardinal la) las.(s)
-  done;
-  let offsets = Array.make (n_states + 1) 0 in
-  let cell_terminals = Array.make !bound 0 in
-  let cell_actions = Array.make !bound Error in
-  (* One state's ACTION row at a time, in a scratch row reused across
-     states; [touched] marks the cells written, so emitting and
-     resetting the row skips the rest. *)
-  let row = Array.make n_term Error in
-  let touched = Bitset.create n_term in
-  let n_cells = ref 0 in
-  let conflicts = ref [] in
-  for s = 0 to n_states - 1 do
-    (* Shifts. *)
+  fun s las ->
     Lr0.iter_t_transitions a s (fun tt target ->
         row.(tt) <- shift_to.(target);
         Bitset.add touched tt);
-    (* Accept overrides the shift on $ out of the accept state. *)
     if s = accept then begin
       row.(0) <- Accept;
       Bitset.add touched 0
     end;
-    (* Reductions, with conflict handling. *)
     List.iter
       (fun (pid, la) ->
         ignore (Bitset.union_into ~into:touched la);
@@ -114,56 +99,60 @@ let build ~lookahead (a : Lr0.t) =
                   resolve_sr g ~shift_to ~terminal ~reduce:pid
                 in
                 row.(terminal) <- chosen;
-                conflicts :=
-                  {
-                    state = s;
-                    terminal;
-                    kind = Shift_reduce { shift_to; reduce = pid };
-                    chosen;
-                    resolution;
-                  }
-                  :: !conflicts
+                clash s terminal (Shift_reduce { shift_to; reduce = pid })
+                  chosen resolution
             | Reduce other ->
                 (* reductions are visited in ascending pid order *)
                 let kept = min other pid and dropped = max other pid in
                 row.(terminal) <- reduce_by.(kept);
-                conflicts :=
-                  {
-                    state = s;
-                    terminal;
-                    kind = Reduce_reduce { kept; dropped };
-                    chosen = reduce_by.(kept);
-                    resolution = By_default;
-                  }
-                  :: !conflicts
+                clash s terminal (Reduce_reduce { kept; dropped })
+                  reduce_by.(kept) By_default
             | Accept ->
                 (* A reduction whose look-ahead contains $ in the accept
                    state (possible when the start symbol is nullable or
                    right-recursive under ambiguity). Keep the accept and
                    report it like an unresolved shift/reduce. *)
-                conflicts :=
-                  {
-                    state = s;
-                    terminal;
-                    kind = Shift_reduce { shift_to = s; reduce = pid };
-                    chosen = Accept;
-                    resolution = By_default;
-                  }
-                  :: !conflicts)
+                clash s terminal (Shift_reduce { shift_to = s; reduce = pid })
+                  Accept By_default)
           la)
-      las.(s);
-    (* Emit the row's non-error cells in terminal order and reset it. *)
+      las;
     Bitset.iter
       (fun tt ->
-        (match row.(tt) with
-        | Error -> ()
-        | v ->
-            cell_terminals.(!n_cells) <- tt;
-            cell_actions.(!n_cells) <- v;
-            incr n_cells);
+        cell tt row.(tt);
         row.(tt) <- Error)
       touched;
-    Bitset.clear touched;
+    Bitset.clear touched
+
+let lookaheads ~lookahead a s =
+  List.map (fun pid -> (pid, lookahead ~state:s ~prod:pid)) (Lr0.reductions a s)
+
+let build ~lookahead (a : Lr0.t) =
+  let n_states = Lr0.n_states a in
+  (* Each reduction's look-ahead, fetched once. Shifts plus look-ahead
+     sizes bound the row lengths, so the packed rows are allocated once
+     (conflicting cells are counted twice and leave a little slack). *)
+  let las = Array.init n_states (lookaheads ~lookahead a) in
+  let bound = ref 1 in
+  for s = 0 to n_states - 1 do
+    Lr0.iter_t_transitions a s (fun _ _ -> incr bound);
+    List.iter (fun (_, la) -> bound := !bound + Bitset.cardinal la) las.(s)
+  done;
+  let offsets = Array.make (n_states + 1) 0 in
+  let cell_terminals = Array.make !bound 0 in
+  let cell_actions = Array.make !bound Error in
+  let n_cells = ref 0 in
+  let conflicts = ref [] in
+  let conflict c = conflicts := c :: !conflicts in
+  let cell tt = function
+    | Error -> ()
+    | v ->
+        cell_terminals.(!n_cells) <- tt;
+        cell_actions.(!n_cells) <- v;
+        incr n_cells
+  in
+  let resolve = row_resolver a ~conflict ~cell in
+  for s = 0 to n_states - 1 do
+    resolve s las.(s);
     offsets.(s + 1) <- !n_cells
   done;
   {
@@ -171,30 +160,41 @@ let build ~lookahead (a : Lr0.t) =
     offsets;
     cell_terminals;
     cell_actions;
-    index = Cell_index.of_rows ~n_cols:n_term ~offsets ~cols:cell_terminals;
+    index =
+      Cell_index.of_rows
+        ~n_cols:(Grammar.n_terminals (Lr0.grammar a))
+        ~offsets ~cols:cell_terminals;
     conflicts = List.rev !conflicts;
   }
+
+(* The unresolved (shift/reduce, reduce/reduce) counts, plus one
+   conflict. *)
+let tally (sr, rr) c =
+  match (c.resolution, c.kind) with
+  | By_default, Shift_reduce _ -> (sr + 1, rr)
+  | By_default, Reduce_reduce _ -> (sr, rr + 1)
+  | By_precedence, _ -> (sr, rr)
+
+let count_conflicts ~lookahead a =
+  let counts = ref (0, 0) in
+  let resolve =
+    row_resolver a
+      ~conflict:(fun c -> counts := tally !counts c)
+      ~cell:(fun _ _ -> ())
+  in
+  (* Only a reducing state can hold a conflict. *)
+  for s = 0 to Lr0.n_states a - 1 do
+    if Lr0.reductions a s <> [] then resolve s (lookaheads ~lookahead a s)
+  done;
+  !counts
 
 let conflicts t = t.conflicts
 
 let unresolved_conflicts t =
   List.filter (fun c -> c.resolution = By_default) t.conflicts
 
-let n_shift_reduce t =
-  List.length
-    (List.filter
-       (fun c ->
-         c.resolution = By_default
-         && match c.kind with Shift_reduce _ -> true | _ -> false)
-       t.conflicts)
-
-let n_reduce_reduce t =
-  List.length
-    (List.filter
-       (fun c ->
-         c.resolution = By_default
-         && match c.kind with Reduce_reduce _ -> true | _ -> false)
-       t.conflicts)
+let n_shift_reduce t = fst (List.fold_left tally (0, 0) t.conflicts)
+let n_reduce_reduce t = snd (List.fold_left tally (0, 0) t.conflicts)
 
 let default_reductions t =
   Array.init (Lr0.n_states t.automaton) (fun s ->

@@ -48,6 +48,15 @@ val build :
     not in [states × terminals]; GOTO is the automaton's own transition
     function. *)
 
+val count_conflicts :
+  lookahead:(state:int -> prod:int -> Lalr_sets.Bitset.t) ->
+  Lalr_automaton.Lr0.t ->
+  int * int
+(** [(n_shift_reduce, n_reduce_reduce)] of the table {!build} would
+    make, by the same row resolution, without building it: no packed
+    rows, no index, no conflict list. [lookahead] is queried once per
+    reduction. *)
+
 val automaton : t -> Lalr_automaton.Lr0.t
 
 val action : t -> state:int -> terminal:int -> action

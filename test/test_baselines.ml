@@ -9,7 +9,10 @@
    sets); the second is its §7 story. *)
 
 module Bitset = Lalr_sets.Bitset
+module Digraph = Lalr_sets.Digraph
 module G = Lalr_grammar.Grammar
+module Analysis = Lalr_grammar.Analysis
+module Symbol = Lalr_grammar.Symbol
 module Lr0 = Lalr_automaton.Lr0
 module Lalr = Lalr_core.Lalr
 module Slr = Lalr_baselines.Slr
@@ -28,7 +31,7 @@ let cross_validate ?(with_lr1 = true) g =
   let a = Lr0.build g in
   let t = Lalr.compute a in
   let prop = Propagation.compute a in
-  let nq = Nqlalr.compute a in
+  let nq = Nqlalr.compute (Lalr.relations a) in
   let slr = Slr.compute a in
   let merged =
     if with_lr1 then Some (Lr1.merged_lookaheads (Lr1.build g) a) else None
@@ -227,11 +230,119 @@ let test_propagation_kernel_lookahead_not_found () =
 (* NQLALR                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* NQLALR straight from the grammar, as the generators the paper
+   criticises computed it: DR and reads edges per goto target, includes
+   edges found by walking every production from every nonterminal
+   transition and merged by target, the fixpoint by repeated passes,
+   and each reduction's set gathered by walking its production again.
+   [Nqlalr] derives the same sets from the exact relations instead.
+   Returns LA_NQ keyed by (state, production). *)
+let reference_nqlalr a =
+  let g = Lr0.grammar a in
+  let analysis = Analysis.compute g in
+  let n_term = G.n_terminals g in
+  let n_states = Lr0.n_states a in
+  let nx = Lr0.n_nt_transitions a in
+  let dr = Array.init n_states (fun _ -> Bitset.create n_term) in
+  let succ = Array.make n_states [] in
+  let add_edge src dst = succ.(src) <- dst :: succ.(src) in
+  for x = 0 to nx - 1 do
+    let r = Lr0.nt_transition_target a x in
+    Lr0.iter_t_transitions a r (fun t _ -> Bitset.add dr.(r) t);
+    Lr0.iter_n_transitions a r (fun c target ->
+        if Analysis.nullable analysis c then add_edge r target)
+  done;
+  for x' = 0 to nx - 1 do
+    let p', b = Lr0.nt_transition a x' in
+    let r' = Lr0.nt_transition_target a x' in
+    Array.iter
+      (fun pid ->
+        let rhs = (G.production g pid).rhs in
+        let len = Array.length rhs in
+        let state = ref p' in
+        for i = 0 to len - 1 do
+          (match rhs.(i) with
+          | Symbol.N c
+            when Analysis.nullable_sentence analysis rhs ~from:(i + 1)
+                   ~upto:len ->
+              add_edge (Lr0.goto_exn a !state (Symbol.N c)) r'
+          | Symbol.N _ | Symbol.T _ -> ());
+          state := Lr0.goto_exn a !state rhs.(i)
+        done)
+      (G.productions_of g b)
+  done;
+  let follow_nq =
+    Digraph.naive_fixpoint ~n:n_states
+      ~successors:(fun s -> succ.(s))
+      ~init:(fun s -> dr.(s))
+  in
+  let la = Hashtbl.create 64 in
+  for x = 0 to nx - 1 do
+    let p, aa = Lr0.nt_transition a x in
+    let r = Lr0.nt_transition_target a x in
+    Array.iter
+      (fun pid ->
+        if pid <> 0 then begin
+          let q = Lr0.traverse a p (G.production g pid).rhs ~from:0 in
+          let acc =
+            match Hashtbl.find_opt la (q, pid) with
+            | Some acc -> acc
+            | None ->
+                let acc = Bitset.create n_term in
+                Hashtbl.add la (q, pid) acc;
+                acc
+          in
+          ignore (Bitset.union_into ~into:acc follow_nq.(r))
+        end)
+      (G.productions_of g aa)
+  done;
+  la
+
+(* [Nqlalr.lookahead] against [reference_nqlalr] on every reduction;
+   returns the first disagreement. *)
+let nqlalr_mismatch g =
+  let a = Lr0.build g in
+  let nq = Nqlalr.compute (Lalr.relations a) in
+  let reference = reference_nqlalr a in
+  let err = ref None in
+  let n_red = ref 0 in
+  for state = 0 to Lr0.n_states a - 1 do
+    List.iter
+      (fun prod ->
+        incr n_red;
+        let ok =
+          match Hashtbl.find_opt reference (state, prod) with
+          | Some set -> Bitset.equal set (Nqlalr.lookahead nq ~state ~prod)
+          | None -> false
+        in
+        if (not ok) && !err = None then
+          err := Some (Printf.sprintf "LA_NQ(%d, %d) differs" state prod))
+      (Lr0.reductions a state)
+  done;
+  if !err = None && Hashtbl.length reference <> !n_red then
+    err := Some "the reference has a different reduction count";
+  !err
+
+let test_nqlalr_reference_suite () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      match nqlalr_mismatch (Lazy.force e.grammar) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" e.name msg)
+    Registry.all
+
+let prop_nqlalr_reference =
+  QCheck.Test.make ~name:"nqlalr = production-walk reference (random)"
+    ~count:200 (Randgen.arbitrary ()) (fun g ->
+      match nqlalr_mismatch g with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 let test_nqlalr_gap_witness () =
   let g = grammar_of "nqlalr-gap" in
   let a = Lr0.build g in
   let t = Lalr.compute a in
-  let nq = Nqlalr.compute a in
+  let nq = Nqlalr.compute (Lalr.relations a) in
   check "grammar is LALR(1)" true (Lalr.is_lalr1 t);
   check "NQLALR disagrees" false (Nqlalr.is_nqlalr1 nq);
   (* The polluted reduction: some LA_NQ strictly contains LA. *)
@@ -251,7 +362,7 @@ let test_nqlalr_agrees_on_simple () =
     (fun name ->
       let a = Lr0.build (grammar_of name) in
       let t = Lalr.compute a in
-      let nq = Nqlalr.compute a in
+      let nq = Nqlalr.compute (Lalr.relations a) in
       for r = 0 to Lalr.n_reductions t - 1 do
         let state, prod = Lalr.reduction t r in
         check (name ^ ": nq exact") true
@@ -264,7 +375,8 @@ let test_nqlalr_ada_spurious () =
   let g = grammar_of "ada-subset" in
   let a = Lr0.build g in
   check "ada is LALR(1)" true (Lalr.is_lalr1 (Lalr.compute a));
-  check "ada is not NQLALR-clean" false (Nqlalr.is_nqlalr1 (Nqlalr.compute a))
+  check "ada is not NQLALR-clean" false 
+    (Nqlalr.is_nqlalr1 (Nqlalr.compute (Lalr.relations a)))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -312,5 +424,8 @@ let () =
             test_nqlalr_agrees_on_simple;
           Alcotest.test_case "spurious conflicts on ada-subset" `Slow
             test_nqlalr_ada_spurious;
+          Alcotest.test_case "= production-walk reference (suite)" `Quick
+            test_nqlalr_reference_suite;
+          QCheck_alcotest.to_alcotest prop_nqlalr_reference;
         ] );
     ]

@@ -189,6 +189,19 @@ let test_la_forces_relations_once () =
   (* Unrelated slots stay unforced: demand-driven, not eager. *)
   check "lr1 untouched" false (Engine.find_stage e "lr1").Engine.forced
 
+(* The verdict counts conflicts without building a table. *)
+let test_classification_builds_no_tables () =
+  List.iter
+    (fun (entry : Registry.entry) ->
+      let e = Engine.create (Lazy.force entry.grammar) in
+      ignore (Engine.classification e);
+      List.iter
+        (fun slot ->
+          if (Engine.find_stage e slot).Engine.forced then
+            Alcotest.failf "%s: classification forced %s" entry.name slot)
+        [ "tables"; "slr_tables"; "nqlalr_tables" ])
+    Registry.all
+
 let test_seeded_analysis () =
   let g = grammar_of "expr" in
   let analysis = Lalr_grammar.Analysis.compute g in
@@ -351,6 +364,8 @@ let () =
         [
           Alcotest.test_case "la forces relations exactly once" `Quick
             test_la_forces_relations_once;
+          Alcotest.test_case "classification builds no tables" `Quick
+            test_classification_builds_no_tables;
           Alcotest.test_case "seeded analysis slot" `Quick test_seeded_analysis;
           Alcotest.test_case "budget trips with stage" `Quick
             test_budget_trips_named_stage;

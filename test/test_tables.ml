@@ -308,7 +308,7 @@ let sparse_lookup_mismatch g =
     [
       ("lalr", Lalr.lookahead (Lalr.compute a));
       ("slr", Slr.lookahead (Slr.compute a));
-      ("nqlalr", Nqlalr.lookahead (Nqlalr.compute a));
+      ("nqlalr", Nqlalr.lookahead (Nqlalr.compute (Lalr.relations a)));
     ]
   in
   List.iter
@@ -329,9 +329,19 @@ let sparse_lookup_mismatch g =
         in
         expect (name ^ ": iter_actions row") (List.rev !row = dense_row)
       done;
-      expect (name ^ ": conflicts") (Tables.conflicts tbl = conflicts))
+      expect (name ^ ": conflicts") (Tables.conflicts tbl = conflicts);
+      expect (name ^ ": count_conflicts")
+        (Tables.count_conflicts ~lookahead a
+        = (Tables.n_shift_reduce tbl, Tables.n_reduce_reduce tbl)))
     methods;
   !fail
+
+(* Nonassoc turns state 9's cell on EQ (e → e EQ e against shift EQ)
+   into Error; f → e EQ e then takes that cell with no conflict. *)
+let nonassoc_grammar () =
+  Lalr_grammar.Reader.of_string
+    "%token ID EQ %nonassoc EQ %start s %% s : e | f EQ ID ; e : e EQ e | \
+     ID ; f : e EQ e ;"
 
 let test_sparse_lookups_suite () =
   List.iter
@@ -340,6 +350,7 @@ let test_sparse_lookups_suite () =
       | None -> ()
       | Some what -> Alcotest.failf "%s: %s" name what)
     (("directions", directions_grammar ())
+    :: ("nonassoc", nonassoc_grammar ())
     :: List.map
          (fun (e : Registry.entry) -> (e.name, Lazy.force e.grammar))
          Registry.all)
@@ -396,6 +407,19 @@ let test_scaled_allocation_bound () =
   check "LALR(1)" true v.Classify.lalr1;
   check_int "no LALR conflicts" 0
     (v.Classify.lalr_sr_conflicts + v.Classify.lalr_rr_conflicts)
+
+(* Reading is linear in the text: the 10× Scaled grammar is 109 kB
+   with 1981 nonterminals, and numbering each new nonterminal by the
+   length of, and appending it to, a list took 64 minor words a byte. *)
+let test_reader_allocation_bound () =
+  let text = Lalr_grammar.Reader.to_string (Scaled.grammar ()) in
+  let w0 = Gc.minor_words () in
+  ignore (Lalr_grammar.Reader.of_string text);
+  let words = Gc.minor_words () -. w0 in
+  let bytes = String.length text in
+  if words > 16. *. float_of_int bytes then
+    Alcotest.failf "Reader.of_string: %.0f minor words > 16 x %d bytes" words
+      bytes
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                     *)
@@ -456,6 +480,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sparse_lookups;
           Alcotest.test_case "10x Scaled allocation bound" `Quick
             test_scaled_allocation_bound;
+          Alcotest.test_case "10x Scaled reader allocation bound" `Quick
+            test_reader_allocation_bound;
         ] );
       ( "classify",
         [

@@ -207,15 +207,13 @@ let golden_pp_stats_shape =
   "engine timings for <trace-test>:\n\
   \  stage                      wall   miss   hit\n\
   \  analysis                #.### ms      #     #\n\
-  \  lr#                     #.### ms      #    ##\n\
+  \  lr#                     #.### ms      #     #\n\
   \  relations               #.### ms      #     #\n\
   \  follow                  #.### ms      #     #\n\
   \  la                      #.### ms      #     #\n\
   \  slr                     #.### ms      #     #\n\
   \  nqlalr                  #.### ms      #     #\n\
   \  tables                  #.### ms      #     #\n\
-  \  slr_tables              #.### ms      #     #\n\
-  \  nqlalr_tables           #.### ms      #     #\n\
   \  classification          #.### ms      #     #\n\
   \  total                   #.### ms"
 
