@@ -352,114 +352,16 @@ let bench_rt () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* ST — the artifact store: cold vs warm cache                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Manual best-of-N timing rather than Bechamel: a cold-cache run
-   needs a fresh directory per repetition, and the interesting numbers
-   (store overhead on a cold run, speedup on a warm one) are
-   macro-level wall times, not nanosecond fits. The measured rows are
-   also written to BENCH_pr4.json — the start of the perf trajectory
-   tracking store overhead and hit-rate benefit per PR. *)
-let bench_store () =
-  section "bench ST — artifact store: cold vs warm cache";
-  let tmp_root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lalr_bench_store_%d" (Unix.getpid ()))
-  in
-  let counter = ref 0 in
-  let pipeline e =
-    ignore (Engine.tables e);
-    ignore (Engine.classification e)
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let reps = 5 in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t = time f in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let rows =
-    List.map
-      (fun (name, eng) ->
-        let g = Engine.grammar eng in
-        let no_store =
-          best_of (fun () -> pipeline (Engine.create g))
-        in
-        let cold =
-          best_of (fun () ->
-              incr counter;
-              let store =
-                Store.create
-                  ~dir:(Printf.sprintf "%s/%s-cold-%d" tmp_root name !counter)
-              in
-              let e = Engine.create ~store g in
-              pipeline e;
-              (* Forced: this arm measures the store itself, so the
-                 skip-small policy must not dodge the write. *)
-              Engine.persist ~force:true e)
-        in
-        let warm_store =
-          Store.create ~dir:(Printf.sprintf "%s/%s-warm" tmp_root name)
-        in
-        (let e = Engine.create ~store:warm_store g in
-         pipeline e;
-         Engine.persist ~force:true e);
-        let warm =
-          best_of (fun () -> pipeline (Engine.create ~store:warm_store g))
-        in
-        Format.printf
-          "%-14s no-store %10s   cold %10s   warm %10s   (%5.1fx warm)@." name
-          (Format.asprintf "%a" pp_ns (no_store *. 1e9))
-          (Format.asprintf "%a" pp_ns (cold *. 1e9))
-          (Format.asprintf "%a" pp_ns (warm *. 1e9))
-          (no_store /. warm);
-        (name, no_store, cold, warm))
-      (E.engines ())
-  in
-  let oc = open_out "BENCH_pr4.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"pr\": 4,\n\
-    \  \"experiment\": \"artifact-store-cold-vs-warm\",\n\
-    \  \"pipeline\": \"tables + classification (no lr1)\",\n\
-    \  \"unit\": \"seconds, best of %d\",\n\
-    \  \"grammars\": [\n"
-    reps;
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, no_store, cold, warm) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"no_store_s\": %.9f, \"cold_cache_s\": %.9f, \
-         \"warm_cache_s\": %.9f, \"warm_speedup\": %.2f}%s\n"
-        name no_store cold warm (no_store /. warm)
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.wrote BENCH_pr4.json (%d grammars)@." n
-
-(* ------------------------------------------------------------------ *)
 (* TR — tracing layer: disarmed vs armed overhead                     *)
 (* ------------------------------------------------------------------ *)
 
 module Trace = Lalr_trace.Trace
 
-(* Like bench_store, manual best-of-N wall timing: the claim under
+(* Manual best-of-N wall timing rather than Bechamel: the claim under
    test is macro-level ("the layer costs one ref read when disarmed,
    and arming it stays cheap"), so each row runs the full pipeline
-   from a fresh engine with tracing off and on and also refreshes the
-   store cold/warm columns under the armed session. The rows go to
-   BENCH_pr5.json, continuing the perf trajectory started by
-   BENCH_pr4.json. *)
+   from a fresh engine with tracing off and on, and times a warm-store
+   run beside them. The rows go to BENCH_pr5.json. *)
 let bench_trace () =
   section "bench TR — tracing: disarmed vs armed pipeline";
   let tmp_root =
@@ -552,121 +454,6 @@ let bench_trace () =
   output_string oc "  ]\n}\n";
   close_out oc;
   Format.printf "@.wrote BENCH_pr5.json (%d grammars)@." n
-
-(* ------------------------------------------------------------------ *)
-(* LY — data layout: CSR relations + arena Digraph vs the boxed path  *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed = Lalr_baselines.Boxed
-module Analysis = Lalr_grammar.Analysis
-
-(* Manual wall timing again (the claim is a stage-level ratio, not a
-   microbenchmark): each sample loops the thunk enough times to be
-   well clear of clock resolution, and the row keeps the best of
-   [reps] samples per arm. *)
-let layout_reps = 5
-
-let wall_best f =
-  let time n =
-    (* Level the heap between samples (outside the timed window) so an
-       arm is not billed for garbage the previous arm left behind. *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int n
-  in
-  let once = time 1 in
-  let iters = min 1000 (max 1 (int_of_float (ceil (0.01 /. max once 1e-9)))) in
-  let best = ref infinity in
-  for _ = 1 to layout_reps do
-    let t = time iters in
-    if t < !best then best := t
-  done;
-  !best
-
-let bench_layout_rows grammars =
-  List.map
-    (fun (name, g) ->
-      let a = Lr0.build g in
-      let an = Analysis.compute g in
-      (* Both arms get the prebuilt analysis: the row times relation
-         construction proper, not the shared FIRST/nullable pass. *)
-      let rel_csr = wall_best (fun () -> Lalr.relations ~analysis:an a) in
-      let rel_boxed = wall_best (fun () -> Boxed.relations ~analysis:an a) in
-      let r_csr = Lalr.relations ~analysis:an a in
-      let r_boxed = Boxed.relations ~analysis:an a in
-      let solve_csr = wall_best (fun () -> Lalr.solve_follow r_csr) in
-      let solve_boxed = wall_best (fun () -> Boxed.solve_follow r_boxed) in
-      let both_csr = rel_csr +. solve_csr in
-      let both_boxed = rel_boxed +. solve_boxed in
-      let st = Lalr.stats (Lalr.of_stages r_csr (Lalr.solve_follow r_csr)) in
-      Format.printf
-        "%-14s relations %10s vs %10s (%4.2fx)   solve %10s vs %10s \
-         (%4.2fx)   total %4.2fx@."
-        name
-        (Format.asprintf "%a" pp_ns (rel_boxed *. 1e9))
-        (Format.asprintf "%a" pp_ns (rel_csr *. 1e9))
-        (rel_boxed /. rel_csr)
-        (Format.asprintf "%a" pp_ns (solve_boxed *. 1e9))
-        (Format.asprintf "%a" pp_ns (solve_csr *. 1e9))
-        (solve_boxed /. solve_csr)
-        (both_boxed /. both_csr);
-      let stage boxed csr =
-        Bench_json.(
-          Obj
-            [
-              ("boxed_s", Sec boxed);
-              ("csr_s", Sec csr);
-              ("speedup", Ratio (boxed /. csr));
-            ])
-      in
-      Bench_json.(
-        Obj
-          [
-            ("name", Str name);
-            ("nt_transitions", Int st.Lalr.n_nt_transitions);
-            ("includes_edges", Int st.Lalr.includes_edges);
-            ("lookback_edges", Int st.Lalr.lookback_edges);
-            ( "stages",
-              Obj
-                [
-                  ("relations", stage rel_boxed rel_csr);
-                  ("solve", stage solve_boxed solve_csr);
-                  ("relations_plus_solve", stage both_boxed both_csr);
-                ] );
-          ]))
-    grammars
-
-let bench_layout () =
-  section "bench LY — data layout: boxed lists vs CSR + arena Digraph";
-  let grammars =
-    Lazy.force languages
-    @ [ ("scaled-10x", Lalr_suite.Scaled.grammar ()) ]
-  in
-  let rows = bench_layout_rows grammars in
-  Bench_json.(
-    write "BENCH_pr7.json"
-      (Obj
-         [
-           ("pr", Int 7);
-           ("experiment", Str "data-layout-csr-vs-boxed");
-           ( "stages",
-             Str "relations (construction), solve (two Digraph fixpoints)" );
-           ( "unit",
-             Str
-               (Printf.sprintf "seconds per call, best of %d wall samples"
-                  layout_reps) );
-           ("grammars", List rows);
-         ]));
-  Format.printf "@.wrote BENCH_pr7.json (%d grammars)@." (List.length rows)
-
-(* The CI smoke variant: one mid-sized suite grammar, no file write —
-   it proves the stage runs and the arms agree on shape, not perf. *)
-let bench_layout_smoke () =
-  section "bench LY (smoke) — data layout, mini-c only";
-  ignore (bench_layout_rows [ ("mini-c", (Registry.find "mini-c").grammar |> Lazy.force) ])
 
 (* ------------------------------------------------------------------ *)
 (* Serve — worker-pool throughput at 1/4/8 domains (BENCH_pr8.json)   *)
@@ -1746,10 +1533,7 @@ let all =
     ("f3", bench_f3);
     ("f4", bench_f4);
     ("rt", bench_rt);
-    ("store", bench_store);
     ("trace", bench_trace);
-    ("layout", bench_layout);
-    ("layout-smoke", bench_layout_smoke);
     ("serve", bench_serve);
     ("serve-smoke", bench_serve_smoke);
     ("metrics", bench_metrics);
@@ -1761,10 +1545,7 @@ let () =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
     | _ ->
-        [
-          "t1"; "t2"; "t3"; "t4"; "f1"; "f3"; "f4"; "rt"; "store"; "trace";
-          "layout";
-        ]
+[ "t1"; "t2"; "t3"; "t4"; "f1"; "f3"; "f4"; "rt"; "trace" ]
   in
   List.iter
     (fun name ->

@@ -652,11 +652,10 @@ let lint_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Forces every slot, in dependency order. [classify] alone never
-   touches [propagation], and forces either [classification] or [lr1]
-   with [classification+lr1], so the fault-injection matrix (and cache
-   warming) drives THIS command: an armed compute site is guaranteed to
-   be reached. (On a grammar whose LALR(1) conflicts are all
-   reduce/reduce, both calls below land in [classification+lr1].) *)
+   touches [propagation] or the table slots, and forces [lr1] and
+   [classification+lr1] only for some grammars, so the fault-injection
+   matrix (and cache warming) drives THIS command: an armed compute
+   site is guaranteed to be reached. *)
 let force_all_stages e =
   ignore (Engine.analysis e);
   ignore (Engine.lr0 e);

@@ -9,7 +9,7 @@ module Lalr = Lalr_core.Lalr
 module Slr = Lalr_baselines.Slr
 module Nqlalr = Lalr_baselines.Nqlalr
 module Tables = Lalr_tables.Tables
-module Classify = Lalr_tables.Classify
+module Engine = Lalr_engine.Engine
 module Describe = Lalr_report.Describe
 module Registry = Lalr_suite.Registry
 
@@ -19,12 +19,10 @@ let show name =
   let e = Registry.find name in
   let g = Lazy.force e.grammar in
   Format.printf "%s — %s@." name e.description;
-  let v = Classify.classify g in
-  Format.printf "%a@." Describe.classification v;
-  let a = Lr0.build g in
-  let t = Lalr.compute a in
-  let tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
-  Describe.conflicts Format.std_formatter tbl
+  let eng = Engine.create g in
+  Format.printf "%a@." Describe.classification
+    (Engine.classification ~with_lr1:true eng);
+  Describe.conflicts Format.std_formatter (Engine.tables eng)
 
 let () =
   section "The dangling else";

@@ -56,5 +56,5 @@ val overlaps :
 (** The raw conflicts of a collection whose states reduce with the
     given look-ahead sets ([lookaheads s], one per reduction of state
     [s]): whether some set meets a terminal its state shifts, and
-    whether two sets of one state meet. The one conflict scan behind
-    every LR(1)-family verdict. *)
+    whether two sets of one state meet. The reference conflict scan
+    behind [Lalr.is_lalr1], [Lr1.is_lr1] and the tests. *)

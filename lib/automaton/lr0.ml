@@ -1,4 +1,3 @@
-module Bitset = Lalr_sets.Bitset
 module Cell_index = Lalr_sets.Cell_index
 module Budget = Lalr_guard.Budget
 
@@ -165,12 +164,17 @@ let overlaps a ~lookahead =
     ~lookaheads:(fun s ->
       List.map (fun prod -> lookahead ~state:s ~prod) a.reductions.(s))
 
-(* LR(0) reduces on every terminal. The accept state reduces nothing
-   (production 0 excluded) but shifts $; that is fine by construction. *)
+(* LR(0) reduces on every terminal, so a reducing state may neither
+   shift nor reduce twice. The accept state reduces nothing (production
+   0 excluded) but shifts $; that is fine by construction. *)
 let n_conflict_free_lr0 a =
-  let n_term = Grammar.n_terminals a.grammar in
-  let every = Bitset.of_list n_term (List.init n_term Fun.id) in
-  overlaps a ~lookahead:(fun ~state:_ ~prod:_ -> every) = (false, false)
+  Seq.for_all
+    (fun s ->
+      match a.reductions.(s) with
+      | [] -> true
+      | [ _ ] -> a.c.t_offsets.(s) = a.c.t_offsets.(s + 1)
+      | _ -> false)
+    (Seq.init (n_states a) Fun.id)
 
 let size_report a =
   let kernel_items =

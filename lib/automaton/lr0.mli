@@ -90,14 +90,13 @@ val overlaps :
 (** The raw conflicts under the given look-ahead sets, precedence
     ignored, as two flags: some reduction's look-ahead meets a terminal
     its state shifts ([$] out of the accept state included), and two
-    reductions of one state have overlapping look-aheads. The LR(0),
-    SLR(1), NQLALR(1) and LALR(1) verdicts all come from this one scan
-    ({!Collection.overlaps}). *)
+    reductions of one state have overlapping look-aheads. The reference
+    scan ({!Collection.overlaps}) behind [Lalr_core.Lalr.is_lalr1]. *)
 
 val n_conflict_free_lr0 : t -> bool
 (** True iff the grammar is LR(0): no state has both a reduction and a
-    shift, nor two reductions — {!overlaps} with every terminal as the
-    look-ahead of every reduction. *)
+    shift, nor two reductions — a shape check, equal to {!overlaps}
+    with every terminal as the look-ahead of every reduction. *)
 
 val size_report : t -> int * int * int
 (** (states, total kernel items, total transitions) — the T1 columns. *)

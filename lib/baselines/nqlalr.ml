@@ -68,6 +68,3 @@ let compute (r : Lalr.relations) =
 
 let lookahead t ~state ~prod =
   t.la.(Lalr.reduction_index t.relations ~state ~prod)
-
-let is_nqlalr1 t =
-  Lr0.overlaps (automaton t) ~lookahead:(lookahead t) = (false, false)

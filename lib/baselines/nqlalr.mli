@@ -34,7 +34,3 @@ val automaton : t -> Lalr_automaton.Lr0.t
 val lookahead : t -> state:int -> prod:int -> Lalr_sets.Bitset.t
 (** The NQLALR look-ahead approximation for a reduction of the
     automaton. [Not_found] if the pair is not a reduction. *)
-
-val is_nqlalr1 : t -> bool
-(** Conflict-freedom under the approximate sets. Implies nothing about
-    the grammar when [false] — that is the point. *)

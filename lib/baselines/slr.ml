@@ -15,6 +15,3 @@ let automaton t = t.automaton
 let lookahead t ~state:_ ~prod =
   let g = Lr0.grammar t.automaton in
   Analysis.follow t.analysis (Grammar.production g prod).lhs
-
-let is_slr1 t =
-  Lr0.overlaps t.automaton ~lookahead:(lookahead t) = (false, false)

@@ -16,8 +16,4 @@ val lookahead : t -> state:int -> prod:int -> Lalr_sets.Bitset.t
 (** [FOLLOW] of the production's left-hand side. The [state] argument
     is accepted (and ignored) to mirror {!Lalr_core.Lalr.lookahead}. *)
 
-val is_slr1 : t -> bool
-(** No SLR(1) conflicts, judged exactly as {!Lalr_core.Lalr.is_lalr1}
-    but with FOLLOW-based look-aheads. *)
-
 val automaton : t -> Lalr_automaton.Lr0.t

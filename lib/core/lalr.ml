@@ -374,15 +374,8 @@ let lookahead t ~state ~prod = t.la.(find_reduction t ~state ~prod)
 let diagnostics t = t.diagnostics
 let stats t = t.stats
 
-let overlaps t = Lr0.overlaps t.automaton ~lookahead:(lookahead t)
-
-let is_lalr1 t = overlaps t = (false, false)
-
-let is_lr1 t =
-  match overlaps t with
-  | false, false -> Some true
-  | true, _ -> Some false
-  | false, true -> None
+let is_lalr1 t =
+  Lr0.overlaps t.automaton ~lookahead:(lookahead t) = (false, false)
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why is a terminal in LA(q, A→ω)?                       *)

@@ -310,20 +310,21 @@ let classification ?(with_lr1 = false) e =
   let lalr_v = lalr e in
   let slr_v = slr e in
   let nqlalr_v = nqlalr e in
-  (* The LALR(1) sets decide LR(1)-ness unless every conflict is
+  let a = lr0 e in
+  let v =
+    forceb e e.classification_s (fun () ->
+        Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v a)
+  in
+  (* The LALR(1) clashes decide LR(1)-ness unless they are all
      reduce/reduce; only then is the canonical collection worth its
      cost, and only on grammars small enough to afford it. *)
-  let s, lr1_v =
-    if
-      with_lr1
-      || Lalr.is_lr1 lalr_v = None
-         && Grammar.n_productions e.grammar <= lr1_limit
-    then (e.classification_lr1_s, Some (lr1 e))
-    else (e.classification_s, None)
-  in
-  let a = lr0 e in
-  forceb e s (fun () ->
-      Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v ~lr1:lr1_v a)
+  if
+    with_lr1
+    || (not v.lr1_decided) && Grammar.n_productions e.grammar <= lr1_limit
+  then
+    let c = lr1 e in
+    forceb e e.classification_lr1_s (fun () -> Classify.with_lr1 v c)
+  else v
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                      *)

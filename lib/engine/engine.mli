@@ -15,7 +15,9 @@
         │      nqlalr    │                           │
      follow      │       │                           │
         │        │       │                           │
-       la ───────┴───────┴──── classification ───────┘
+       la ───────┴───────┴──── classification        │
+                                      │              │
+                             classification+lr1 ─────┘
     v}
 
     — plus the ACTION/GOTO slots [tables], [slr_tables] and
@@ -194,7 +196,7 @@ val propagation : t -> Lalr_baselines.Propagation.t
 val lr1 : t -> Lalr_baselines.Lr1.t
 (** The canonical LR(1) machine — the one genuinely expensive slot.
     {!classification} forces it only under [~with_lr1:true], or when
-    the LALR(1) conflicts are all reduce/reduce on a grammar of at most
+    the LALR(1) clashes are all reduce/reduce on a grammar of at most
     {!lr1_limit} productions. *)
 
 val tables : t -> Lalr_tables.Tables.t
@@ -215,19 +217,15 @@ val lr1_limit : int
     possibly wrongly. *)
 
 val classification : ?with_lr1:bool -> t -> Lalr_tables.Classify.verdict
-(** The full hierarchy verdict, assembled from the [lr0], [la], [slr]
-    and [nqlalr] slots. It counts each method's conflicts with
-    {!Lalr_tables.Tables.count_conflicts} and forces no table slot.
-    LR(1)-ness comes from {!Lalr_core.Lalr.is_lr1} where the LALR(1)
-    sets decide it: LALR(1)-clean means LR(1), and any shift/reduce
-    overlap means not LR(1). Only when every conflict is reduce/reduce
-    (and the grammar has at most {!lr1_limit} productions) is the
-    {!lr1} slot forced to decide. [~with_lr1:true] (default [false])
-    forces it regardless, for [lr1_states]. A verdict built without
-    the canonical machine has [lr1_states = 0] and is cached in the
-    [classification] slot; one built with it, in [classification+lr1].
-    The other fields agree either way, except [lr1] on a
-    reduce/reduce-only grammar above {!lr1_limit}. *)
+(** The full hierarchy verdict. It always forces the [classification]
+    slot first: {!Lalr_tables.Classify.assemble} over the [lr0], [la],
+    [slr] and [nqlalr] slots, one conflict-count pass per method and no
+    table slot. Its [lr1] is exact when [lr1_decided]. Otherwise (on a
+    grammar of at most {!lr1_limit} productions), or under
+    [~with_lr1:true] (default [false]), it then forces {!lr1} and
+    returns the [classification+lr1] slot,
+    {!Lalr_tables.Classify.with_lr1} of the first, which differs only
+    in [lr1] and [lr1_states]. *)
 
 (** {2 Observability}
 

@@ -1,5 +1,5 @@
 (* Bitsets over a fixed universe [0..n-1], stored as an int array of
-   62-bit words (we use Sys.int_size - 2 = 62 on 64-bit, but any width
+   62-bit words (we use Sys.int_size - 1 = 62 on 64-bit, but any width
    works as long as it is consistent). *)
 
 let word_bits = Sys.int_size - 1 (* 62 on 64-bit: keep shifts well-defined *)

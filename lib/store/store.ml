@@ -31,8 +31,11 @@ type t = {
    per-state transition lists.
    6: Nqlalr.t is the look-ahead sets over the exact relations it was
    projected from, in their reduction numbering, in place of its own
-   FollowNQ array and reduction index. *)
-let format_version = 6
+   FollowNQ array and reduction index.
+   7: Classify.verdict grew [lr1_decided]; the [classification+lr1]
+   verdict refines the [classification] one instead of being assembled
+   beside it. *)
+let format_version = 7
 
 let magic = "LALRART1"
 

@@ -9,6 +9,7 @@ type verdict = {
   slr1 : bool;
   lalr1 : bool;
   lr1 : bool;
+  lr1_decided : bool;
   nqlalr1 : bool;
   not_lr_k : bool;
   lr0_states : int;
@@ -21,48 +22,36 @@ type verdict = {
   nq_rr_conflicts : int;
 }
 
-let assemble ~lalr ~slr ~nqlalr ~lr1 a =
-  let lalr1 = Lalr.is_lalr1 lalr in
-  let not_lr_k =
-    List.exists
-      (function Lalr.Reads_cycle _ -> true | Lalr.Includes_cycle _ -> false)
-      (Lalr.diagnostics lalr)
-  in
-  let lr1, lr1_states =
-    match lr1 with
-    | Some c -> (Lr1.is_lr1 c, Lr1.n_states c)
-    | None -> (lalr1, 0)
-  in
+let assemble ~lalr ~slr ~nqlalr a =
   let count lookahead = Tables.count_conflicts ~lookahead a in
-  let lalr_sr_conflicts, lalr_rr_conflicts = count (Lalr.lookahead lalr) in
-  let slr_sr_conflicts, slr_rr_conflicts = count (Slr.lookahead slr) in
-  let nq_sr_conflicts, nq_rr_conflicts = count (Nqlalr.lookahead nqlalr) in
+  let la = count (Lalr.lookahead lalr) in
+  let sl = count (Slr.lookahead slr) in
+  let nq = count (Nqlalr.lookahead nqlalr) in
+  let lalr1 = la.clash = Tables.Clean in
   {
     lr0 = Lr0.n_conflict_free_lr0 a;
-    slr1 = Slr.is_slr1 slr;
+    slr1 = sl.clash = Tables.Clean;
     lalr1;
-    lr1;
-    nqlalr1 = Nqlalr.is_nqlalr1 nqlalr;
-    not_lr_k;
+    (* LALR(1) implies LR(1), and a shift/reduce clash survives the
+       core merge, so only reduce/reduce clashes leave LR(1) open. *)
+    lr1 = lalr1;
+    lr1_decided = la.clash <> Tables.Reduce_reduce_only;
+    nqlalr1 = nq.clash = Tables.Clean;
+    not_lr_k =
+      List.exists
+        (function Lalr.Reads_cycle _ -> true | Lalr.Includes_cycle _ -> false)
+        (Lalr.diagnostics lalr);
     lr0_states = Lr0.n_states a;
-    lr1_states;
-    lalr_sr_conflicts;
-    lalr_rr_conflicts;
-    slr_sr_conflicts;
-    slr_rr_conflicts;
-    nq_sr_conflicts;
-    nq_rr_conflicts;
+    lr1_states = 0;
+    lalr_sr_conflicts = la.n_sr;
+    lalr_rr_conflicts = la.n_rr;
+    slr_sr_conflicts = sl.n_sr;
+    slr_rr_conflicts = sl.n_rr;
+    nq_sr_conflicts = nq.n_sr;
+    nq_rr_conflicts = nq.n_rr;
   }
 
-let classify_common ~with_lr1 g =
-  let a = Lr0.build g in
-  let r = Lalr.relations a in
-  let lalr = Lalr.of_stages r (Lalr.solve_follow r) in
-  let lr1 = if with_lr1 then Some (Lr1.build g) else None in
-  assemble ~lalr ~slr:(Slr.compute a) ~nqlalr:(Nqlalr.compute r) ~lr1 a
-
-let classify g = classify_common ~with_lr1:true g
-let classify_no_lr1 g = classify_common ~with_lr1:false g
+let with_lr1 v c = { v with lr1 = Lr1.is_lr1 c; lr1_states = Lr1.n_states c }
 
 let pp ppf v =
   let cls =

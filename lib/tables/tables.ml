@@ -167,16 +167,23 @@ let build ~lookahead (a : Lr0.t) =
     conflicts = List.rev !conflicts;
   }
 
-(* The unresolved (shift/reduce, reduce/reduce) counts, plus one
-   conflict. *)
-let tally (sr, rr) c =
-  match (c.resolution, c.kind) with
-  | By_default, Shift_reduce _ -> (sr + 1, rr)
-  | By_default, Reduce_reduce _ -> (sr, rr + 1)
-  | By_precedence, _ -> (sr, rr)
+type clash_class = Clean | Reduce_reduce_only | Some_shift_reduce
+type conflict_counts = { n_sr : int; n_rr : int; clash : clash_class }
+
+let no_conflicts = { n_sr = 0; n_rr = 0; clash = Clean }
+
+(* The counts, plus one conflict: the unresolved ones are counted, and
+   every one raises the clash class (declared from clean to worst). *)
+let tally { n_sr; n_rr; clash } c =
+  let unresolved = Bool.to_int (c.resolution = By_default) in
+  match c.kind with
+  | Shift_reduce _ ->
+      { n_sr = n_sr + unresolved; n_rr; clash = Some_shift_reduce }
+  | Reduce_reduce _ ->
+      { n_sr; n_rr = n_rr + unresolved; clash = max clash Reduce_reduce_only }
 
 let count_conflicts ~lookahead a =
-  let counts = ref (0, 0) in
+  let counts = ref no_conflicts in
   let resolve =
     row_resolver a
       ~conflict:(fun c -> counts := tally !counts c)
@@ -193,8 +200,8 @@ let conflicts t = t.conflicts
 let unresolved_conflicts t =
   List.filter (fun c -> c.resolution = By_default) t.conflicts
 
-let n_shift_reduce t = fst (List.fold_left tally (0, 0) t.conflicts)
-let n_reduce_reduce t = snd (List.fold_left tally (0, 0) t.conflicts)
+let n_shift_reduce t = (List.fold_left tally no_conflicts t.conflicts).n_sr
+let n_reduce_reduce t = (List.fold_left tally no_conflicts t.conflicts).n_rr
 
 let default_reductions t =
   Array.init (Lr0.n_states t.automaton) (fun s ->

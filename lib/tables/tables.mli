@@ -48,14 +48,26 @@ val build :
     not in [states × terminals]; GOTO is the automaton's own transition
     function. *)
 
+type clash_class = Clean | Reduce_reduce_only | Some_shift_reduce
+(** A method's raw conflicts, precedence ignored, as
+    {!Lalr_automaton.Lr0.overlaps} gives them: [Clean] is
+    [(false, false)] and [Reduce_reduce_only] is [(false, true)]. *)
+
+type conflict_counts = {
+  n_sr : int;  (** {!n_shift_reduce} *)
+  n_rr : int;  (** {!n_reduce_reduce} *)
+  clash : clash_class;  (** of every clash, precedence-settled included *)
+}
+
 val count_conflicts :
   lookahead:(state:int -> prod:int -> Lalr_sets.Bitset.t) ->
   Lalr_automaton.Lr0.t ->
-  int * int
-(** [(n_shift_reduce, n_reduce_reduce)] of the table {!build} would
-    make, by the same row resolution, without building it: no packed
-    rows, no index, no conflict list. [lookahead] is queried once per
-    reduction. *)
+  conflict_counts
+(** The counts and clash class of the {!conflicts} of the table {!build}
+    would make, by the same row resolution over the reducing states,
+    without building it: no packed rows, no index, no conflict list.
+    One pass gives a method's yacc counts and its verdict
+    ([clash = Clean]). [lookahead] is queried once per reduction. *)
 
 val automaton : t -> Lalr_automaton.Lr0.t
 

@@ -8,6 +8,9 @@ module Bitset = Lalr_sets.Bitset
 module G = Lalr_grammar.Grammar
 module Lr0 = Lalr_automaton.Lr0
 module Lalr = Lalr_core.Lalr
+module Slr = Lalr_baselines.Slr
+module Nqlalr = Lalr_baselines.Nqlalr
+module Lr1 = Lalr_baselines.Lr1
 module Tables = Lalr_tables.Tables
 module Classify = Lalr_tables.Classify
 module Engine = Lalr_engine.Engine
@@ -61,7 +64,14 @@ let engine_vs_direct g =
   let direct_tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
   let pp_tbl tbl = render (fun ppf -> Tables.pp ppf tbl) in
   if pp_tbl direct_tbl <> pp_tbl (Engine.tables e) then fail "tables differ";
-  if Classify.classify g <> Engine.classification ~with_lr1:true e then
+  let direct =
+    Classify.with_lr1
+      (Classify.assemble ~lalr:t ~slr:(Slr.compute a)
+         ~nqlalr:(Nqlalr.compute (Lalr.relations a))
+         a)
+      (Lr1.build g)
+  in
+  if direct <> Engine.classification ~with_lr1:true e then
     fail "classification differs";
   !err
 
@@ -83,9 +93,9 @@ let prop_engine_vs_direct_random =
 
 type conflicts = Clean | Shift_reduce | Reduce_reduce_only
 
-(* The raw LALR(1) conflicts, read from the tables' conflict list
-   (precedence-resolved ones included) rather than from
-   [Lalr.is_lr1], which the engine decides by. *)
+(* The raw LALR(1) conflicts, read from the built table's conflict
+   list (precedence-resolved ones included) rather than from the
+   conflict count's clash class, which the engine decides by. *)
 let conflicts_of e =
   match Tables.conflicts (Engine.tables e) with
   | [] -> Clean
@@ -189,17 +199,41 @@ let test_la_forces_relations_once () =
   (* Unrelated slots stay unforced: demand-driven, not eager. *)
   check "lr1 untouched" false (Engine.find_stage e "lr1").Engine.forced
 
-(* The verdict counts conflicts without building a table. *)
+(* The verdict counts conflicts without building a table. It forces
+   its inputs and the [classification] slot, then the canonical machine
+   and the [classification+lr1] slot that refines it, under [~with_lr1]
+   or on the reduce/reduce-only grammars; and nothing else. Every
+   forced slot is computed once. *)
 let test_classification_builds_no_tables () =
+  let expected ~refined =
+    [ "analysis"; "lr0"; "relations"; "follow"; "la"; "slr"; "nqlalr" ]
+    @ (if refined then [ "lr1" ] else [])
+    @ [ "classification" ]
+    @ if refined then [ "classification+lr1" ] else []
+  in
   List.iter
     (fun (entry : Registry.entry) ->
-      let e = Engine.create (Lazy.force entry.grammar) in
-      ignore (Engine.classification e);
       List.iter
-        (fun slot ->
-          if (Engine.find_stage e slot).Engine.forced then
-            Alcotest.failf "%s: classification forced %s" entry.name slot)
-        [ "tables"; "slr_tables"; "nqlalr_tables" ])
+        (fun with_lr1 ->
+          let e = Engine.create (Lazy.force entry.grammar) in
+          ignore (Engine.classification ~with_lr1 e);
+          let label =
+            entry.name ^ if with_lr1 then " ~with_lr1:true" else ""
+          in
+          let forced =
+            List.filter (fun (s : Engine.stage) -> s.forced) (Engine.stats e)
+          in
+          Alcotest.(check (list string))
+            (label ^ ": forced slots")
+            (expected
+               ~refined:
+                 (with_lr1 || List.mem entry.name [ "lr1-not-lalr"; "lalr2" ]))
+            (List.map (fun (s : Engine.stage) -> s.stage) forced);
+          List.iter
+            (fun (s : Engine.stage) ->
+              check_int (label ^ ": " ^ s.stage ^ " misses") 1 s.misses)
+            forced)
+        [ false; true ])
     Registry.all
 
 let test_seeded_analysis () =

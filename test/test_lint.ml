@@ -33,6 +33,9 @@ let symbols_with_code code diags =
 
 let run ?config g = Engine.run ?config g
 
+(* The classifier's verdict, through the query engine. *)
+let verdict_of g = Lalr_engine.Engine.(classification (create g))
+
 (* ------------------------------------------------------------------ *)
 (* Findings on crafted grammars                                       *)
 (* ------------------------------------------------------------------ *)
@@ -208,7 +211,7 @@ let test_json_escaping () =
 let prop_reads_cycle_matches_classify =
   QCheck.Test.make ~name:"L004 ⇔ Classify.not_lr_k (random grammars)"
     ~count:150 (Randgen.arbitrary ()) (fun g ->
-      let verdict = Classify.classify_no_lr1 g in
+      let verdict = verdict_of g in
       let has_l004 = List.mem "L004" (codes_of (run g)) in
       has_l004 = verdict.Classify.not_lr_k)
 
@@ -245,7 +248,7 @@ let prop_reduction_matches_transform =
 let prop_conflict_codes_match_classify =
   QCheck.Test.make ~name:"L101/L102 ⇔ LALR conflict counts (random grammars)"
     ~count:150 (Randgen.arbitrary ()) (fun g ->
-      let verdict = Classify.classify_no_lr1 g in
+      let verdict = verdict_of g in
       let diags = run g in
       let has c = List.mem c (codes_of diags) in
       has "L101" = (verdict.Classify.lalr_sr_conflicts > 0)

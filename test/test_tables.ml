@@ -274,9 +274,10 @@ let dense_reference ~lookahead a =
 
 (* Every (state, symbol) point lookup — hits and misses — agrees with
    the transition lists; nonterminal transitions are numbered row-major
-   in (state, nonterminal); and every ACTION cell, row and conflict of
-   the LALR, SLR and NQLALR tables agrees with the dense reference.
-   Returns the first disagreement. *)
+   in (state, nonterminal); every ACTION cell, row and conflict of the
+   LALR, SLR and NQLALR tables agrees with the dense reference; and
+   each method's conflict count agrees with its table, and its clash
+   class with the raw overlap scan. Returns the first disagreement. *)
 let sparse_lookup_mismatch g =
   let a = Lr0.build g in
   let n_t = G.n_terminals g and n_n = G.n_nonterminals g in
@@ -330,9 +331,17 @@ let sparse_lookup_mismatch g =
         expect (name ^ ": iter_actions row") (List.rev !row = dense_row)
       done;
       expect (name ^ ": conflicts") (Tables.conflicts tbl = conflicts);
+      let counts = Tables.count_conflicts ~lookahead a in
       expect (name ^ ": count_conflicts")
-        (Tables.count_conflicts ~lookahead a
-        = (Tables.n_shift_reduce tbl, Tables.n_reduce_reduce tbl)))
+        ((counts.n_sr, counts.n_rr)
+        = (Tables.n_shift_reduce tbl, Tables.n_reduce_reduce tbl));
+      expect (name ^ ": clash class")
+        (counts.clash
+        =
+        match Lr0.overlaps a ~lookahead with
+        | false, false -> Tables.Clean
+        | true, _ -> Tables.Some_shift_reduce
+        | false, true -> Tables.Reduce_reduce_only))
     methods;
   !fail
 
@@ -361,6 +370,66 @@ let prop_sparse_lookups =
       match sparse_lookup_mismatch g with
       | None -> true
       | Some what -> QCheck.Test.fail_report what)
+
+(* A Randgen grammar re-read with 1–5 %left/%right/%nonassoc lines over
+   distinct terminals, one or two a line, so that precedence settles
+   some clashes and nonassoc leaves Error cells. *)
+let with_random_precedence rand g =
+  let names =
+    List.init (G.n_terminals g - 1) (fun t -> G.terminal_name g (t + 1))
+    |> List.map (fun t -> (Random.State.bits rand, t))
+    |> List.sort compare |> List.map snd
+  in
+  let assoc () =
+    [| "%left"; "%right"; "%nonassoc" |].(Random.State.int rand 3)
+  in
+  let rec lines k = function
+    | t :: rest when k > 0 ->
+        let line, rest =
+          match rest with
+          | u :: rest when Random.State.bool rand -> ([ t; u ], rest)
+          | _ -> ([ t ], rest)
+        in
+        String.concat " " (assoc () :: line) :: lines (k - 1) rest
+    | _ -> []
+  in
+  let text = Lalr_grammar.Reader.to_string g in
+  let tokens = String.index text '\n' + 1 in
+  Lalr_grammar.Reader.of_string ~name:"randprec"
+    (String.sub text 0 tokens
+    ^ String.concat "\n" (lines (1 + Random.State.int rand 5) names)
+    ^ "\n"
+    ^ String.sub text tokens (String.length text - tokens))
+
+(* The verdict's booleans ignore precedence and its counts honour it;
+   only declarations can make them disagree, so the random grammars
+   above must reach a precedence-settled clash and a nonassoc Error
+   cell. The fixed seed keeps the counts reproducible. *)
+let test_sparse_lookups_precedence () =
+  let settled = ref 0 and nonassoc = ref 0 in
+  let prop =
+    QCheck.Test.make
+      ~name:"sparse action = dense reference (random, precedence)"
+      ~count:300
+      (QCheck.make ~print:Lalr_grammar.Reader.to_string (fun rand ->
+           with_random_precedence rand (Randgen.generate Randgen.default rand)))
+      (fun g ->
+        let conflicts = Tables.conflicts (lalr_tables g) in
+        let has f = List.exists f conflicts in
+        if has (fun c -> c.Tables.resolution = Tables.By_precedence) then
+          incr settled;
+        if has (fun c -> c.Tables.chosen = Tables.Error) then incr nonassoc;
+        match sparse_lookup_mismatch g with
+        | None -> true
+        | Some what -> QCheck.Test.fail_report what)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |]) prop;
+  Printf.printf
+    "random grammars with precedence: %d with a clash settled by \
+     precedence, %d with a nonassoc Error cell\n"
+    !settled !nonassoc;
+  if !settled = 0 then Alcotest.fail "no clash was settled by precedence";
+  if !nonassoc = 0 then Alcotest.fail "no nonassoc Error cell"
 
 (* Words a call allocates in the major heap: directly (large arrays) or
    by promotion of what it keeps from the minor heap. *)
@@ -430,8 +499,9 @@ let test_classify_matches_registry () =
     (fun (e : Registry.entry) ->
       let g = Lazy.force e.grammar in
       let v =
-        if G.n_productions g <= 60 then Classify.classify g
-        else Classify.classify_no_lr1 g
+        Engine.classification
+          ~with_lr1:(G.n_productions g <= 60)
+          (Engine.create g)
       in
       let exp = e.expected in
       check (e.name ^ ": lr0") true (v.lr0 = exp.lr0);
@@ -478,6 +548,8 @@ let () =
           Alcotest.test_case "goto/action = dense reference (suite)" `Quick
             test_sparse_lookups_suite;
           QCheck_alcotest.to_alcotest prop_sparse_lookups;
+          Alcotest.test_case "action = dense reference (random, precedence)"
+            `Quick test_sparse_lookups_precedence;
           Alcotest.test_case "10x Scaled allocation bound" `Quick
             test_scaled_allocation_bound;
           Alcotest.test_case "10x Scaled reader allocation bound" `Quick
