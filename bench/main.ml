@@ -634,8 +634,7 @@ let bench_serve () =
         (float_of_int n /. w) (seq /. w))
     arms;
   (* Warm-store pass at the widest arm: one cold fill, one warm run
-     over the same shared store; the hit rate lands in the bench trace
-     session's gauges as well as the JSON. *)
+     over the same shared store; the hit rate lands in the JSON. *)
   let store_dir = Filename.temp_file "lalr_serve_bench_" "" in
   Sys.remove store_dir;
   let store = Store.create ~dir:store_dir in
@@ -651,15 +650,9 @@ let bench_serve () =
     if w_hits + w_misses = 0 then 0.
     else float_of_int w_hits /. float_of_int (w_hits + w_misses)
   in
-  let session = Trace.start () in
-  Trace.gauge_int "serve.store.hits" w_hits;
-  Trace.gauge_int "serve.store.misses" w_misses;
-  Trace.gauge "serve.store.hit_rate" hit_rate;
-  Trace.finish session;
   Format.printf
     "warm store (8 domains): %.3fs, hit rate %.2f (%d hits / %d misses)@."
     warm_wall hit_rate w_hits w_misses;
-  Format.printf "trace gauges: %s@." (Trace.metrics_json session);
   let cores = nproc () in
   Bench_json.(
     write "BENCH_pr8.json"

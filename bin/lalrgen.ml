@@ -148,9 +148,9 @@ let inject_arg =
 let trace_arg =
   let trace_conv =
     let parse s =
-      (* FILE[:FORMAT] — a trailing :chrome/:jsonl/:metrics overrides
-         the extension-inferred format; any other colon is part of the
-         file name. *)
+      (* FILE[:FORMAT] — a trailing :chrome/:jsonl overrides the
+         extension-inferred format; any other colon is part of the file
+         name. *)
       match String.rindex_opt s ':' with
       | Some i -> (
           let file = String.sub s 0 i in
@@ -166,11 +166,10 @@ let trace_arg =
     Arg.conv (parse, print)
   in
   let doc =
-    "Record a structured trace of the run (spans, algorithm counters) to \
+    "Record a structured trace of the run (spans and instants) to \
      $(docv). FORMAT is $(b,chrome) (trace-event JSON, loadable in \
-     Perfetto; the default for $(b,.json)), $(b,jsonl) (one event per \
-     line; inferred from $(b,.jsonl)) or $(b,metrics) (flat key/value \
-     dump; inferred from $(b,.txt))."
+     Perfetto; the default) or $(b,jsonl) (one event per line; inferred \
+     from $(b,.jsonl))."
   in
   Arg.(
     value
@@ -740,9 +739,9 @@ let print_response_lines lines =
 
 (* batch --via-serve: ship the whole batch to a running daemon over
    one resilient connection instead of analysing in-process. Per-job
-   isolation, budgets and retries then happen server-side; the output
-   contract (one JSON line per job, worst exit, stderr summary) is
-   unchanged. *)
+   isolation, budgets and retries then happen server-side. It keeps
+   one JSON line per job, the worst-exit rule and the stderr summary,
+   but each line is the daemon's response, not a batch line. *)
 let batch_via_serve endpoint_s files budget_spec =
   let endpoint =
     match Serve.parse_endpoint endpoint_s with
@@ -881,7 +880,7 @@ let batch_cmd =
                 j_status = (if lalr1 then "ok" else "verdict");
                 j_detail = "";
                 j_lalr1 = Some lalr1;
-                j_completed = p.Engine.pr_completed;
+                j_completed = [];
                 j_wall_ms = 0.;
                 j_stages = stages;
                 j_lr0_states = lr0_states;
@@ -1003,9 +1002,10 @@ let batch_cmd =
        over a single resilient connection (health-checked reconnect, \
        circuit breaker). Isolation, budgets and retries happen \
        server-side; $(b,--cache) and $(b,--inject) apply to the daemon's \
-       process, not this one. The output contract is unchanged. On \
-       connection failure the responses that arrived are printed and the \
-       exit code is 4."
+       process, not this one. Output keeps one JSON line per job and the \
+       worst-exit rule, but each line is the daemon's response (keyed by \
+       $(b,id)), not a batch line. On connection failure the responses \
+       that arrived are printed and the exit code is 4."
     in
     Arg.(
       value
@@ -1030,28 +1030,18 @@ let batch_cmd =
 
 (* One JSON document profiling the structures the paper's complexity
    argument is about: automaton sizes, relation cardinalities, the
-   Digraph solver's work (unions, stack depth, SCCs), plus the ambient
-   trace metrics gathered while computing them. CI cross-checks the
-   structural members against the metric gauges — two code paths, one
-   truth. *)
+   Digraph solver's work (unions, stack depth, SCCs) and the words the
+   packed relation arrays hold — each read from the one artifact that
+   owns it ([Lr0.size_report], [Lalr.stats]). *)
 let stats_cmd =
   let run spec timings budget cache inject trace =
     handle_engine spec ~timings ?budget ?cache ?inject ?trace (fun e ->
-        (* Metrics are recorded by the ambient session; arm a private
-           one when --trace didn't, so the "metrics" member is always
-           populated. It must be armed BEFORE the stages force. *)
-        let owned, session =
-          match Trace.active () with
-          | Some s -> (false, s)
-          | None -> (true, Trace.start ())
-        in
         let la = Engine.lalr e in
         let a = Engine.lr0 e in
         let g = Engine.grammar e in
         let st = Lalr.stats la in
         let states, kernel_items, transitions = Lr0.size_report a in
         let lalr1 = Lalr.is_lalr1 la in
-        if owned then Trace.finish session;
         let buf = Buffer.create 2048 in
         let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
         let scc_sizes sccs =
@@ -1088,19 +1078,17 @@ let stats_cmd =
           m.Lalr.includes_offsets_words m.Lalr.includes_cols_words
           m.Lalr.lookback_offsets_words m.Lalr.lookback_cols_words
           m.Lalr.reduction_index_words;
-        p "  \"lalr1\": %b,\n" lalr1;
-        p "  \"metrics\": %s\n" (Trace.metrics_json session);
+        p "  \"lalr1\": %b\n" lalr1;
         p "}\n";
         print_string (Buffer.contents buf))
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Print a structural and metric profile of the analysis as one \
-          JSON document: automaton sizes, relation cardinalities, Digraph \
-          solver work (set unions, stack depth, SCC histogram), the words \
-          held by the packed relation arrays, and the trace metrics \
-          recorded while computing them")
+         "Print a structural profile of the analysis as one JSON \
+          document: automaton sizes, relation cardinalities, Digraph \
+          solver work (set unions, stack depth, SCC histogram) and the \
+          words held by the packed relation arrays")
     Term.(const run $ grammar_arg $ timings_arg $ budget_arg $ cache_arg
           $ inject_arg $ trace_arg)
 

@@ -196,31 +196,6 @@ let relations ?analysis (a : Lr0.t) =
       (Grammar.productions_of g aa)
   done;
   let lookback = Csr.build ~rev:true lookback_b in
-  (* The relation cardinalities — the sizes the paper's complexity
-     bound is linear in — and the words each packed array holds. The
-     folds only run while a session is armed. *)
-  if Trace.enabled () then begin
-    Trace.gauge_int "lalr.nt_transitions" nx;
-    Trace.gauge_int "lalr.dr.total"
-      (Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 dr);
-    Trace.gauge_int "lalr.reads.edges" (Csr.n_edges reads);
-    Trace.gauge_int "lalr.includes.edges" (Csr.n_edges includes);
-    Trace.gauge_int "lalr.lookback.edges" (Csr.n_edges lookback);
-    Trace.gauge_int "lalr.reductions" !n_red;
-    let mem_gauges name rel =
-      Trace.gauge_int
-        (Printf.sprintf "lalr.mem.%s.offsets_words" name)
-        (Csr.offsets_words rel);
-      Trace.gauge_int
-        (Printf.sprintf "lalr.mem.%s.cols_words" name)
-        (Csr.cols_words rel)
-    in
-    mem_gauges "reads" reads;
-    mem_gauges "includes" includes;
-    mem_gauges "lookback" lookback;
-    Trace.gauge_int "lalr.mem.reduction_index.words"
-      (Array.length reduction_offsets)
-  end;
   {
     r_automaton = a;
     r_analysis = analysis;
@@ -245,17 +220,6 @@ type follow_sets = {
   f_includes_digraph : Digraph.stats;
 }
 
-(* Emit one Digraph run's structural profile: the solver internals the
-   paper's linearity argument is about. Nothing here runs disarmed. *)
-let trace_digraph relation (st : Digraph.stats) =
-  let key suffix = Printf.sprintf "lalr.%s.%s" relation suffix in
-  Trace.gauge_int (key "unions") st.Digraph.unions;
-  Trace.gauge_int (key "max_stack_depth") st.Digraph.max_stack_depth;
-  Trace.gauge_int (key "sccs") (List.length st.Digraph.nontrivial_sccs);
-  List.iter
-    (fun scc -> Trace.observe (key "scc_size") (List.length scc))
-    st.Digraph.nontrivial_sccs
-
 let solve_follow r =
   let read, read_stats =
     Trace.with_span "lalr.solve.read" (fun () ->
@@ -267,8 +231,6 @@ let solve_follow r =
         Digraph.ForBitset.run_csr ~graph:r.r_includes
           ~init:(fun x -> read.(x)))
   in
-  trace_digraph "reads" read_stats;
-  trace_digraph "includes" follow_stats;
   {
     f_read = read;
     f_follow = follow;
@@ -326,9 +288,6 @@ let of_stages r f =
         };
     }
   in
-  (* The LA union itself performs exactly one set union per lookback
-     edge; its output volume is the remaining quantity of interest. *)
-  Trace.gauge_int "lalr.la.total" stats.la_total;
   {
     automaton = r.r_automaton;
     analysis = r.r_analysis;

@@ -37,9 +37,9 @@ type mem = {
 }
 (** Words held by each packed relation array (CSR [offsets]/[cols] per
     relation, plus the dense per-state reduction index) — the
-    memory-footprint half of the data-layout story, reported by
-    [lalrgen stats] and cross-checked against the [lalr.mem.*] trace
-    gauges in CI. *)
+    memory-footprint half of the data-layout story, reported as the
+    [memory] member of [lalrgen stats]; CI checks its CSR shape
+    (offsets = rows + 1, cols = edges). *)
 
 type stats = {
   n_nt_transitions : int;

@@ -111,8 +111,9 @@ let create ?budget ?analysis ?store grammar =
   }
 
 (* Each slot miss runs inside a span named after the slot; the fuel a
-   budgeted stage consumed is recorded as a gauge on the way out. Both
-   probes cost one ref read when tracing is disarmed. *)
+   budgeted stage consumed is recorded as a [budget.fuel] instant on
+   the way out. Both probes cost one DLS read when tracing is
+   disarmed. *)
 let forceb e slot compute =
   force slot (fun () ->
       Faultpoint.check slot.s_name;
@@ -122,10 +123,12 @@ let forceb e slot compute =
           | Some b ->
               let fuel0 = Budget.consumed b Budget.Fuel in
               let record () =
-                if Trace.enabled () then
-                  Trace.gauge
-                    ("budget.fuel." ^ slot.s_name)
-                    (Budget.consumed b Budget.Fuel -. fuel0)
+                Trace.instant
+                  ~attrs:(fun () ->
+                    [ ("stage", Trace.Str slot.s_name);
+                      ("fuel",
+                       Trace.Float (Budget.consumed b Budget.Fuel -. fuel0)) ])
+                  "budget.fuel"
               in
               Fun.protect
                 ~finally:record
@@ -241,16 +244,7 @@ let run e f =
 let analysis e = forceb e e.analysis_s (fun () -> Analysis.compute e.grammar)
 
 let lr0 e =
-  forceb e e.lr0_s (fun () ->
-      let a = Lr0.build e.grammar in
-      if Trace.enabled () then begin
-        let states, kernel_items, transitions = Lr0.size_report a in
-        Trace.gauge_int "lr0.states" states;
-        Trace.gauge_int "lr0.kernel_items" kernel_items;
-        Trace.gauge_int "lr0.transitions" transitions;
-        Trace.gauge_int "lr0.nt_transitions" (Lr0.n_nt_transitions a)
-      end;
-      a)
+  forceb e e.lr0_s (fun () -> Lr0.build e.grammar)
 
 let relations e =
   let an = analysis e in

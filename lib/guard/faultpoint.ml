@@ -231,8 +231,7 @@ let hit_slow site ~corrupt =
       then begin
         if Atomic.fetch_and_add p.a_hits 1 + 1 = p.a_at then begin
           Atomic.set p.a_fired true;
-          (* Count before [fire]: it raises. *)
-          Trace.count "faultpoint.fired";
+          (* Record before [fire]: it raises. *)
           Trace.instant
             ~attrs:(fun () ->
               [ ("site", Trace.Str site);

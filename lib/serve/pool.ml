@@ -340,9 +340,6 @@ let run_job t w job : Protocol.response =
             }
           in
           Atomic.incr t.expired;
-          Trace.count "serve.requests";
-          Trace.count
-            ("serve.status." ^ Protocol.status_name r.Protocol.r_status);
           finish_metrics r;
           Protocol.Job r
       | None ->
@@ -372,13 +369,7 @@ let run_job t w job : Protocol.response =
           Metrics.aobserve "lalr_serve_compute_seconds" (wall_ms /. 1e3);
           if r.Protocol.r_status = Protocol.Deadline_exceeded then
             Atomic.incr t.expired;
-          Trace.count "serve.requests";
-          Trace.count
-            ("serve.status." ^ Protocol.status_name r.Protocol.r_status);
-          if retries > 0 then begin
-            Trace.count ~n:retries "serve.retries";
-            Metrics.ainc ~n:retries "lalr_serve_retries_total"
-          end;
+          if retries > 0 then Metrics.ainc ~n:retries "lalr_serve_retries_total";
           let slack_ms =
             Option.map
               (fun d -> (d -. t.cfg.now ()) *. 1e3)

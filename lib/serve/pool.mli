@@ -129,7 +129,7 @@ val ready : t -> bool
     turns true again once the window slides past the burst. *)
 
 val depth : t -> int
-(** Current queue depth (for the [serve.queue.depth] gauge). *)
+(** Current queue depth (the [queue_depth] of {!health}). *)
 
 val health : t -> id:string -> Protocol.health_response
 (** Liveness and load snapshot: readiness, queue depth/capacity,

@@ -73,20 +73,11 @@ type srv = {
   mshard : Metrics.shard;  (* shard 0; series pre-registered in run *)
   access : out_channel option;
   access_mu : Mutex.t;  (* one access-log line at a time, any thread *)
-  probe_mu : Mutex.t;
-      (* the main domain's trace session is shared by every reader
-         thread (sessions are domain-local, threads are not) *)
   conns_mu : Mutex.t;
   mutable conns : conn list;  (* guarded by conns_mu *)
   mutable threads : Thread.t list;  (* guarded by conns_mu *)
   draining : bool Atomic.t;
 }
-
-(* Serve-layer trace probe, safe from any reader thread. Worker
-   domains have their own sessions and never come through here. *)
-let probe srv f =
-  Mutex.lock srv.probe_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock srv.probe_mu) f
 
 (* fd lifetime: a connection is closed in two steps. [close_conn]
    closes it LOGICALLY — shutdown(2) wakes the peer (EOF) and the
@@ -207,12 +198,7 @@ let send srv conn response =
       ~labels:[ ("status", status) ]
       "lalr_serve_responses_dropped_total";
   access_line srv response ~sent:ok;
-  probe srv (fun () ->
-      if ok then Trace.count "serve.responses"
-      else begin
-        Trace.count "serve.responses.dropped";
-        close_conn srv conn
-      end)
+  if not ok then close_conn srv conn
 [@@lalr.allow
   D004
     "socket boundary: a response write can fail for reasons the daemon \
@@ -271,7 +257,6 @@ let scrape srv =
   Metrics.to_prometheus (Metrics.snapshot srv.registry)
 
 let handle_line srv conn line =
-  probe srv (fun () -> Trace.count "serve.lines");
   let decoded =
     try
       Faultpoint.check "serve-decode";
@@ -294,7 +279,6 @@ let handle_line srv conn line =
   match decoded with
   | `Fault response -> send srv conn response
   | `Decoded (Error msg) ->
-      probe srv (fun () -> Trace.count "serve.bad_request");
       send srv conn (bad_request_response "" msg)
   | `Decoded (Ok (Protocol.Health { id })) ->
       send srv conn (Protocol.Health (Pool.health srv.pool ~id))
@@ -312,23 +296,19 @@ let handle_line srv conn line =
       match Pool.submit srv.pool ~request ~respond with
       | `Accepted -> ()
       | `Overloaded ->
-          probe srv (fun () -> Trace.count "serve.shed");
           respond
             (Protocol.shed_response ~id
                ~queue_capacity:srv.cfg.pool.Pool.queue_capacity)
       | `Draining ->
-          probe srv (fun () -> Trace.count "serve.shed");
           respond
             (plain_response id Protocol.Overloaded
                "draining: server is shutting down")
       | `Expired ->
-          probe srv (fun () -> Trace.count "serve.deadline_expired");
           respond
             (plain_response id Protocol.Deadline_exceeded
                "deadline already expired at admission (deadline_ms <= 0); \
                 shed before compute")
       | `Unready ->
-          probe srv (fun () -> Trace.count "serve.unready");
           respond
             (plain_response id Protocol.Internal
                "worker pool unready: crash-loop backstop tripped (too many \
@@ -355,7 +335,6 @@ let reader srv conn () =
   let overflow () =
     Buffer.clear acc;
     discarding := true;
-    probe srv (fun () -> Trace.count "serve.oversized");
     send srv conn
       (bad_request_response ""
          (Printf.sprintf "request line exceeds %d bytes" srv.cfg.max_line))
@@ -455,9 +434,10 @@ let write_trace_file path session =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> Trace.write session (Trace.infer_format path) oc)
 
-(* Every status label [send] can emit; pre-registered on shard 0 so
-   the multi-thread fast path never mutates the table (the Metrics
-   contract), and so a scrape always exposes the full series set. *)
+(* Every status label [send] can emit, and the accept loop's two
+   counters; pre-registered on shard 0 so the multi-thread fast path
+   never mutates the table (the Metrics contract), and so a scrape
+   always exposes the full series set. *)
 let status_labels =
   [ "ok"; "verdict"; "bad_request"; "budget"; "overloaded";
     "deadline_exceeded"; "internal"; "health"; "metrics" ]
@@ -472,6 +452,9 @@ let preregister mshard =
         ~labels:[ ("status", s) ]
         "lalr_serve_responses_dropped_total")
     status_labels;
+  List.iter
+    (fun c -> Metrics.inc mshard ~n:0 c)
+    [ "lalr_serve_connections_total"; "lalr_serve_accept_errors_total" ];
   List.iter
     (fun g -> Metrics.set_gauge mshard g 0.)
     [ "lalr_serve_uptime_seconds"; "lalr_serve_queue_depth";
@@ -523,7 +506,6 @@ let run cfg =
           mshard;
           access;
           access_mu = Mutex.create ();
-          probe_mu = Mutex.create ();
           conns_mu = Mutex.create ();
           conns = [];
           threads = [];
@@ -557,6 +539,9 @@ let run cfg =
                 try
                   Faultpoint.check "serve-accept";
                   let fd, _ = Unix.accept listen_fd in
+                  (* Counted before the reader starts, so any scrape
+                     this connection issues already sees it. *)
+                  Metrics.inc srv.mshard "lalr_serve_connections_total";
                   let conn =
                     {
                       c_fd = fd;
@@ -572,13 +557,10 @@ let run cfg =
                   srv.conns <- conn :: srv.conns;
                   let t = Thread.create (reader srv conn) () in
                   srv.threads <- t :: srv.threads;
-                  Mutex.unlock srv.conns_mu;
-                  probe srv (fun () -> Trace.count "serve.accepted")
+                  Mutex.unlock srv.conns_mu
                 with
-                | Unix.Unix_error _ ->
-                    probe srv (fun () -> Trace.count "serve.accept.absorbed")
-                | Budget.Internal_error _ | Budget.Exceeded _ ->
-                    probe srv (fun () -> Trace.count "serve.accept.absorbed")
+                | Unix.Unix_error _ | Budget.Internal_error _ | Budget.Exceeded _ ->
+                    Metrics.inc srv.mshard "lalr_serve_accept_errors_total"
               end
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
           accept_loop ()
@@ -586,7 +568,7 @@ let run cfg =
       in
       accept_loop ();
       (* ---- drain ---- *)
-      probe srv (fun () -> Trace.instant "serve.drain");
+      Trace.instant "serve.drain";
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (match cfg.endpoint with
       | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
@@ -609,23 +591,20 @@ let run cfg =
         ts
       in
       List.iter Thread.join threads;
-      probe srv (fun () ->
+      Trace.instant
+        ~attrs:(fun () ->
           let h = Pool.health pool ~id:"drain" in
-          Trace.gauge_int "serve.queue.depth" h.Protocol.h_queue_depth;
-          Trace.gauge_int "serve.completed" h.Protocol.h_completed;
-          Trace.gauge_int "serve.restarts" h.Protocol.h_restarts;
-          Trace.gauge_int "serve.shed" h.Protocol.h_shed;
-          Trace.gauge_int "serve.deadline_expired" h.Protocol.h_deadline_expired;
-          Trace.gauge_int "serve.ready" (if h.Protocol.h_ready then 1 else 0);
+          [ ("completed", Trace.Int h.Protocol.h_completed);
+            ("restarts", Trace.Int h.Protocol.h_restarts);
+            ("shed", Trace.Int h.Protocol.h_shed);
+            ("deadline_expired", Trace.Int h.Protocol.h_deadline_expired) ]
+          @
           match h.Protocol.h_store with
-          | None -> ()
+          | None -> []
           | Some s ->
-              Trace.gauge_int "serve.store.hits" s.Store.hits;
-              Trace.gauge_int "serve.store.misses" s.Store.misses;
-              let total = s.Store.hits + s.Store.misses in
-              if total > 0 then
-                Trace.gauge "serve.store.hit_rate"
-                  (float_of_int s.Store.hits /. float_of_int total));
+              [ ("store_hits", Trace.Int s.Store.hits);
+                ("store_misses", Trace.Int s.Store.misses) ])
+        "serve.drained";
       (* Flush trace sinks: the main-loop session to the named file,
          each worker's session next to it. *)
       (match (cfg.trace_file, main_session) with

@@ -14,12 +14,15 @@
       rest of the exactly-once guarantee);
     - {b the outer loops absorb their own faults} — an accept error, a
       response write onto a dead connection, or an armed
-      [serve-accept]/[serve-respond] injection is counted in the trace
-      metrics and the daemon keeps serving; nothing at the socket
-      boundary can take the process down;
+      [serve-accept]/[serve-respond] injection is counted in the live
+      metrics ([lalr_serve_accept_errors_total],
+      [lalr_serve_responses_dropped_total]) and the daemon keeps
+      serving; nothing at the socket boundary can take the process
+      down;
     - {b SIGTERM/SIGINT drain}: stop accepting, shut the read side of
       open connections, answer anything still admitted, join every
-      worker domain, flush trace sinks, return [Ok ()] (process exit
+      worker domain, record a [serve.drained] instant with the final
+      health counts, flush trace sinks, return [Ok ()] (process exit
       0). A second signal during drain is ignored — drain is already
       in progress and idempotent.
 
@@ -85,4 +88,6 @@ val run : config -> (unit, string) result
     failed writes also landing in
     [lalr_serve_responses_dropped_total]. Responses actually delivered
     therefore reconcile exactly with client-side per-id accounting as
-    [requests_total - responses_dropped_total], per status. *)
+    [requests_total - responses_dropped_total], per status. Accepted
+    connections count in [lalr_serve_connections_total], absorbed
+    accept failures in [lalr_serve_accept_errors_total]. *)

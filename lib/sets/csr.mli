@@ -65,8 +65,8 @@ val edges : t -> (src:int -> dst:int -> unit) -> unit
 
 (** {2 Memory footprint}
 
-    Words held by each backing array, for [lalrgen stats] and the
-    [lalr.mem.*] trace gauges. *)
+    Words held by each backing array, for [Lalr.stats] and the
+    [memory] member of [lalrgen stats]. *)
 
 val offsets_words : t -> int
 val cols_words : t -> int

@@ -75,9 +75,7 @@ let dir t = t.dir
    recomputing it (BENCH_pr4: the warm 'json' row ran at 0.75x). *)
 let small_threshold = 1e-3
 
-let skip_small t =
-  Atomic.incr t.skipped_small;
-  Trace.count "store.skip_small"
+let skip_small t = Atomic.incr t.skipped_small
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -229,7 +227,6 @@ let read_entry path want_key =
 
 let quarantine t path reason =
   Atomic.incr t.corrupt;
-  Trace.count "store.corrupt";
   Trace.instant ~attrs:(fun () -> [ ("reason", Trace.Str reason) ])
     "store.quarantine";
   try Sys.rename path (path ^ ".corrupt")
@@ -247,24 +244,19 @@ let load t g =
         match read_entry path (key g) with
         | Served b ->
             Atomic.incr t.hits;
-            Trace.count "store.hit";
             Some b
         | Absent ->
             Atomic.incr t.misses;
-            Trace.count "store.miss";
             None
         | Bad reason ->
             quarantine t path reason;
             Atomic.incr t.misses;
-            Trace.count "store.miss";
             None
       with _ ->
         (* I/O failure (or an injected one) mid-read: a miss, never an
            escape — the store must not be able to fail the run. *)
         Atomic.incr t.errors;
         Atomic.incr t.misses;
-        Trace.count "store.error";
-        Trace.count "store.miss";
         None)
 [@@lalr.allow
   D004
@@ -311,11 +303,8 @@ let save t bundle =
        (try Sys.remove tmp with Sys_error _ -> ());
        raise e);
     Sys.rename tmp path;
-    Atomic.incr t.writes;
-    Trace.count "store.write"
-  with _ ->
-    Atomic.incr t.errors;
-    Trace.count "store.error"
+    Atomic.incr t.writes
+  with _ -> Atomic.incr t.errors
 [@@lalr.allow
   D004
     "absorption contract (DESIGN §11): a failed save, including an \

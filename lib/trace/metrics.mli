@@ -42,11 +42,11 @@
     {2 Fixed boundaries}
 
     Histograms bucket by fixed boundaries fixed at registration
-    (default {!default_boundaries}, a 0.5ms–10s latency ladder),
-    unlike {!Trace.observe}'s capped exact-value buckets: cardinality
-    is bounded regardless of traffic, and same-boundary histograms
-    from different shards merge bucket-wise. Sums are kept in integer
-    nanoseconds so merging never loses precision to float rounding. *)
+    (default {!default_boundaries}, a 0.5ms–10s latency ladder), so
+    cardinality is bounded regardless of traffic, and same-boundary
+    histograms from different shards merge bucket-wise. Sums are kept
+    in integer nanoseconds so merging never loses precision to float
+    rounding. *)
 
 type labels = (string * string) list
 (** Label pairs; canonicalised (sorted by key) at probe time, so

@@ -1,24 +1,17 @@
 type value = Int of int | Float of float | Str of string | Bool of bool
 type attr = string * value
 
-type format = Chrome | Jsonl | Metrics
+type format = Chrome | Jsonl
 
 let format_of_name = function
   | "chrome" -> Some Chrome
   | "jsonl" -> Some Jsonl
-  | "metrics" -> Some Metrics
   | _ -> None
 
-let format_name = function
-  | Chrome -> "chrome"
-  | Jsonl -> "jsonl"
-  | Metrics -> "metrics"
+let format_name = function Chrome -> "chrome" | Jsonl -> "jsonl"
 
 let infer_format file =
-  if Filename.check_suffix file ".jsonl" then Jsonl
-  else if Filename.check_suffix file ".txt" then Metrics
-  else if Filename.check_suffix file ".metrics" then Metrics
-  else Chrome
+  if Filename.check_suffix file ".jsonl" then Jsonl else Chrome
 
 (* Events keep the raw clock reading; sinks subtract t0 at write time
    so timestamps are microseconds since the session started. *)
@@ -26,12 +19,6 @@ type ev =
   | Begin of { name : string; ts : float; depth : int; attrs : attr list }
   | End of { name : string; ts : float; depth : int }
   | Inst of { name : string; ts : float; depth : int; attrs : attr list }
-  | Sample of { name : string; ts : float; total : int }
-
-type metric =
-  | Counter of int
-  | Gauge of float
-  | Hist of (int * int) list
 
 type session = {
   clock : unit -> float;
@@ -39,17 +26,14 @@ type session = {
   mutable events : ev list;  (* newest first *)
   mutable n_events : int;
   mutable open_spans : string list;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
-  hists : (string, (int, int) Hashtbl.t) Hashtbl.t;
 }
 
 (* The whole armed state behind one domain-local cell — the Faultpoint
    discipline: every probe is a single DLS read when tracing is off.
    Domain-local (not a shared ref, not an Atomic) because a session's
-   interior (events list, counter tables) is single-writer by design:
-   each domain arms and records its own session, which is exactly the
-   per-worker model the serve daemon needs. *)
+   interior (the event list) is single-writer by design: each domain
+   arms and records its own session, which is exactly the per-worker
+   model the serve daemon needs. *)
 let current : session option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -59,18 +43,7 @@ let set_current v = Domain.DLS.set current v
 let default_clock = Unix.gettimeofday
 
 let start ?(clock = default_clock) () =
-  let s =
-    {
-      clock;
-      t0 = clock ();
-      events = [];
-      n_events = 0;
-      open_spans = [];
-      counters = Hashtbl.create 64;
-      gauges = Hashtbl.create 64;
-      hists = Hashtbl.create 16;
-    }
-  in
+  let s = { clock; t0 = clock (); events = []; n_events = 0; open_spans = [] } in
   set_current (Some s);
   s
 
@@ -126,75 +99,6 @@ let instant ?attrs name =
         (Inst { name; ts = s.clock (); depth = List.length s.open_spans;
                 attrs = at })
 
-let count ?(n = 1) name =
-  match get_current () with
-  | None -> ()
-  | Some s ->
-      let cell =
-        match Hashtbl.find_opt s.counters name with
-        | Some c -> c
-        | None ->
-            let c = ref 0 in
-            Hashtbl.add s.counters name c;
-            c
-      in
-      cell := !cell + n;
-      push s (Sample { name; ts = s.clock (); total = !cell })
-
-let gauge name v =
-  match get_current () with
-  | None -> ()
-  | Some s -> Hashtbl.replace s.gauges name v
-
-let gauge_int name v = gauge name (float_of_int v)
-
-(* Exact buckets are for small discrete distributions (SCC sizes,
-   stack depths). A continuous measurement would mint one bucket per
-   distinct value and grow without bound in a long-lived daemon, so
-   cardinality is capped: once a histogram holds [hist_cap] distinct
-   buckets, unseen values collapse into one overflow bucket (rendered
-   as "overflow" by every sink; [max_int] sorts it last). Continuous
-   latencies belong in [Metrics.observe]'s fixed-boundary histograms. *)
-let hist_cap = 64
-let overflow_bucket = max_int
-
-let observe name v =
-  match get_current () with
-  | None -> ()
-  | Some s ->
-      let h =
-        match Hashtbl.find_opt s.hists name with
-        | Some h -> h
-        | None ->
-            let h = Hashtbl.create 8 in
-            Hashtbl.add s.hists name h;
-            h
-      in
-      let v =
-        if Hashtbl.mem h v || Hashtbl.length h < hist_cap then v
-        else overflow_bucket
-      in
-      Hashtbl.replace h v
-        (1 + Option.value (Hashtbl.find_opt h v) ~default:0)
-
-(* ------------------------------------------------------------------ *)
-(* Reading back                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let metrics s =
-  let out = ref [] in
-  Hashtbl.iter (fun k c -> out := (k, Counter !c) :: !out) s.counters;
-  Hashtbl.iter (fun k v -> out := (k, Gauge v) :: !out) s.gauges;
-  Hashtbl.iter
-    (fun k h ->
-      let buckets = Hashtbl.fold (fun v n acc -> (v, n) :: acc) h [] in
-      out := (k, Hist (List.sort compare buckets)) :: !out)
-    s.hists;
-  List.sort (fun (a, _) (b, _) -> compare a b) !out
-
-let find_counter s name =
-  match Hashtbl.find_opt s.counters name with Some c -> !c | None -> 0
-
 let n_events s = s.n_events
 
 (* ------------------------------------------------------------------ *)
@@ -217,14 +121,11 @@ let json_escape s =
   Buffer.contents buf
 
 (* %.17g would be exact but ugly; %g loses nothing we care about (walls
-   in seconds, integral gauges) and keeps the files small and stable. *)
+   in seconds, integral fuel) and keeps the files small and stable. *)
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
-
-let bucket_label b =
-  if b = overflow_bucket then "overflow" else string_of_int b
 
 let value_json = function
   | Int i -> string_of_int i
@@ -232,193 +133,56 @@ let value_json = function
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
   | Bool b -> string_of_bool b
 
-let attrs_json attrs =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v))
-       attrs)
+(* [,"<member>":{k:v,...}], or nothing for an empty attribute list. *)
+let attrs_member member attrs =
+  if attrs = [] then ""
+  else
+    Printf.sprintf ",\"%s\":{%s}" member
+      (String.concat ","
+         (List.map
+            (fun (k, v) ->
+              Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v))
+            attrs))
 
 let us s ts = (ts -. s.t0) *. 1e6
 
 (* Chrome trace-event format: one JSON object per event in the
-   traceEvents array. B/E pairs carry nesting; counter samples become
-   C events (one track per counter name); instants are i events. *)
-let buf_chrome s buf =
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let evs = List.rev s.events in
-  let hist_json buckets =
-    Printf.sprintf "{%s}"
-      (String.concat ","
-         (List.map (fun (b, n) -> Printf.sprintf "\"%s\":%d" (bucket_label b) n) buckets))
-  in
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (match ev with
-        | Begin { name; ts; attrs; _ } ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}"
-              (json_escape name) (us s ts)
-              (if attrs = [] then ""
-               else Printf.sprintf ",\"args\":{%s}" (attrs_json attrs))
-        | End { name; ts; _ } ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
-              (json_escape name) (us s ts)
-        | Inst { name; ts; attrs; _ } ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\
-               \"tid\":1%s}"
-              (json_escape name) (us s ts)
-              (if attrs = [] then ""
-               else Printf.sprintf ",\"args\":{%s}" (attrs_json attrs))
-        | Sample { name; ts; total } ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\
-               \"args\":{\"value\":%d}}"
-              (json_escape name) (us s ts) total))
-    evs;
-  (* Final metric values as one trailing instant so a Chrome trace is
-     self-contained: gauges and histograms have no per-sample events. *)
-  let m = metrics s in
-  if m <> [] then begin
-    if evs <> [] then Buffer.add_string buf ",\n";
-    let last_ts =
-      match s.events with
-      | [] -> 0.
-      | (Begin { ts; _ } | End { ts; _ } | Inst { ts; _ } | Sample { ts; _ })
-        :: _ ->
-          us s ts
-    in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\":\"metrics\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":1,\
-          \"tid\":1,\"args\":{%s}}"
-         last_ts
-         (String.concat ","
-            (List.map
-               (fun (k, v) ->
-                 Printf.sprintf "\"%s\":%s" (json_escape k)
-                   (match v with
-                   | Counter n -> string_of_int n
-                   | Gauge g -> json_float g
-                   | Hist buckets -> hist_json buckets))
-               m)))
-  end;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
+   traceEvents array. B/E pairs carry nesting; instants are i events. *)
+let chrome_event s = function
+  | Begin { name; ts; attrs; _ } ->
+      Printf.sprintf
+        "{\"name\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}"
+        (json_escape name) (us s ts) (attrs_member "args" attrs)
+  | End { name; ts; _ } ->
+      Printf.sprintf
+        "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
+        (json_escape name) (us s ts)
+  | Inst { name; ts; attrs; _ } ->
+      Printf.sprintf
+        "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\
+         \"tid\":1%s}"
+        (json_escape name) (us s ts) (attrs_member "args" attrs)
 
-let buf_jsonl s buf =
-  let hist_json buckets =
-    String.concat ","
-      (List.map (fun (b, n) -> Printf.sprintf "\"%s\":%d" (bucket_label b) n) buckets)
-  in
-  let line l =
-    Buffer.add_string buf l;
-    Buffer.add_char buf '\n'
-  in
-  List.iter
-    (fun ev ->
-      line
-        (match ev with
-        | Begin { name; ts; depth; attrs } ->
-            Printf.sprintf
-              "{\"ev\":\"begin\",\"name\":\"%s\",\"ts_us\":%.3f,\"depth\":%d%s}"
-              (json_escape name) (us s ts) depth
-              (if attrs = [] then ""
-               else Printf.sprintf ",\"attrs\":{%s}" (attrs_json attrs))
-        | End { name; ts; depth } ->
-            Printf.sprintf
-              "{\"ev\":\"end\",\"name\":\"%s\",\"ts_us\":%.3f,\"depth\":%d}"
-              (json_escape name) (us s ts) depth
-        | Inst { name; ts; depth; attrs } ->
-            Printf.sprintf
-              "{\"ev\":\"instant\",\"name\":\"%s\",\"ts_us\":%.3f,\
-               \"depth\":%d%s}"
-              (json_escape name) (us s ts) depth
-              (if attrs = [] then ""
-               else Printf.sprintf ",\"attrs\":{%s}" (attrs_json attrs))
-        | Sample { name; ts; total } ->
-            Printf.sprintf
-              "{\"ev\":\"count\",\"name\":\"%s\",\"ts_us\":%.3f,\"total\":%d}"
-              (json_escape name) (us s ts) total))
-    (List.rev s.events);
-  List.iter
-    (fun (k, v) ->
-      line
-        (match v with
-        | Counter n ->
-            Printf.sprintf
-              "{\"ev\":\"metric\",\"name\":\"%s\",\"kind\":\"counter\",\
-               \"value\":%d}"
-              (json_escape k) n
-        | Gauge g ->
-            Printf.sprintf
-              "{\"ev\":\"metric\",\"name\":\"%s\",\"kind\":\"gauge\",\
-               \"value\":%s}"
-              (json_escape k) (json_float g)
-        | Hist buckets ->
-            Printf.sprintf
-              "{\"ev\":\"metric\",\"name\":\"%s\",\"kind\":\"histogram\",\
-               \"value\":{%s}}"
-              (json_escape k) (hist_json buckets)))
-    (metrics s)
-
-let buf_metrics s buf =
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | Counter n -> Buffer.add_string buf (Printf.sprintf "%s %d\n" k n)
-      | Gauge g ->
-          Buffer.add_string buf (Printf.sprintf "%s %s\n" k (json_float g))
-      | Hist buckets ->
-          List.iter
-            (fun (b, n) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s[%s] %d\n" k (bucket_label b) n))
-            buckets)
-    (metrics s)
+let jsonl_event s = function
+  | Begin { name; ts; depth; attrs } ->
+      Printf.sprintf
+        "{\"ev\":\"begin\",\"name\":\"%s\",\"ts_us\":%.3f,\"depth\":%d%s}"
+        (json_escape name) (us s ts) depth (attrs_member "attrs" attrs)
+  | End { name; ts; depth } ->
+      Printf.sprintf
+        "{\"ev\":\"end\",\"name\":\"%s\",\"ts_us\":%.3f,\"depth\":%d}"
+        (json_escape name) (us s ts) depth
+  | Inst { name; ts; depth; attrs } ->
+      Printf.sprintf
+        "{\"ev\":\"instant\",\"name\":\"%s\",\"ts_us\":%.3f,\"depth\":%d%s}"
+        (json_escape name) (us s ts) depth (attrs_member "attrs" attrs)
 
 let to_string s fmt =
-  let buf = Buffer.create 4096 in
-  (match fmt with
-  | Chrome -> buf_chrome s buf
-  | Jsonl -> buf_jsonl s buf
-  | Metrics -> buf_metrics s buf);
-  Buffer.contents buf
+  let evs = List.rev s.events in
+  match fmt with
+  | Chrome ->
+      Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n"
+        (String.concat ",\n" (List.map (chrome_event s) evs))
+  | Jsonl -> String.concat "" (List.map (fun ev -> jsonl_event s ev ^ "\n") evs)
 
 let write s fmt oc = output_string oc (to_string s fmt)
-
-
-let metrics_json s =
-  let m = metrics s in
-  let pick f =
-    List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (f v)) m
-  in
-  let counters =
-    pick (function Counter n -> Some (string_of_int n) | _ -> None)
-  in
-  let gauges = pick (function Gauge g -> Some (json_float g) | _ -> None) in
-  let hists =
-    pick (function
-      | Hist buckets ->
-          Some
-            (Printf.sprintf "{%s}"
-               (String.concat ","
-                  (List.map (fun (b, n) -> Printf.sprintf "\"%s\":%d" (bucket_label b) n)
-                     buckets)))
-      | _ -> None)
-  in
-  let obj fields =
-    Printf.sprintf "{%s}"
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v)
-            fields))
-  in
-  obj
-    [
-      ("counters", obj counters);
-      ("gauges", obj gauges);
-      ("histograms", obj hists);
-    ]

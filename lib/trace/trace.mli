@@ -1,59 +1,58 @@
-(** Structured tracing and metrics — the observability backbone.
+(** Structured tracing: spans and instants.
 
-    The paper's claim is {e efficiency}: the Digraph/SCC solver makes
-    look-ahead computation effectively linear in the sizes of the
-    [reads]/[includes]/[lookback] relations. Wall-clock timings alone
-    cannot check a complexity argument; this layer records the
-    quantities the argument is about — relation cardinalities, SCC
-    structure, traversal stack depth, set-union operation counts —
-    alongside a span tree of where the time went.
+    A trace answers {e where the time went} in one run: a tree of
+    timed spans (engine stages, Digraph solves, store I/O, serve
+    requests) and point events carrying attributes (a faultpoint
+    firing, a store quarantine, the fuel a budgeted stage burned, the
+    daemon's final health counts). It keeps no counters, gauges or
+    histograms. Each number has exactly one home elsewhere: structural
+    quantities (relation sizes, set unions, SCCs, packed-array words)
+    in [Lr0.size_report], [Lalr.stats] and [Digraph.stats]; per-object
+    traffic in [Engine.stats] and [Store.stats]; daemon counters in
+    {!Metrics}.
 
     {2 The disarmed-cost contract}
 
     Tracing is ambient and off by default, following the
     {!Lalr_guard.Faultpoint} pattern: every probe ({!with_span},
-    {!count}, {!gauge}, {!observe}, {!instant}) starts with a single
-    read of one domain-local cell and returns immediately when no
-    session is armed. No allocation, no closure evaluation, no clock
-    read.
-    Attribute thunks are only called while a session is armed.
-    Instrumented code therefore stays in the hot path unconditionally;
-    [bench/main.exe -- trace] measures the armed and disarmed costs.
+    {!instant}) starts with a single read of one domain-local cell and
+    returns immediately when no session is armed. No allocation, no
+    closure evaluation, no clock read. Attribute thunks are only
+    called while a session is armed. Instrumented code therefore stays
+    in the hot path unconditionally; [bench/main.exe -- trace]
+    measures the armed and disarmed costs.
 
     {2 Sessions}
 
     {!start} arms one per-domain session; {!finish} closes any spans
-    still
-    open and disarms it. Probes fired while no session is armed are
-    lost by design. The clock is injectable so tests produce
+    still open and disarms it. Probes fired while no session is armed
+    are lost by design. The clock is injectable so tests produce
     byte-deterministic output; the default is [Unix.gettimeofday]
     (best available without extra dependencies — used only for
     intra-process durations, never compared across processes).
 
     {2 Sinks}
 
-    One recording serves three formats:
+    One recording serves two formats:
     - {!Chrome}: trace-event JSON ([{"traceEvents":[...]}]), loadable
-      in Perfetto / [chrome://tracing]; spans as B/E pairs, counters
-      as C samples, instants as i events.
-    - {!Jsonl}: one JSON object per line — span begin/end, instants,
-      counter samples, then one [metric] line per final key.
-    - {!Metrics}: a flat, sorted [key value] text dump (histograms as
-      [key\[bucket\] count] lines). *)
+      in Perfetto / [chrome://tracing]; spans as B/E pairs, instants
+      as i events.
+    - {!Jsonl}: one JSON object per line — span [begin]/[end] and
+      [instant] events, in recording order. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 type attr = string * value
 
-type format = Chrome | Jsonl | Metrics
+type format = Chrome | Jsonl
 
 val format_of_name : string -> format option
-(** ["chrome"], ["jsonl"] or ["metrics"]. *)
+(** ["chrome"] or ["jsonl"]. *)
 
 val format_name : format -> string
 
 val infer_format : string -> format
-(** From a file name: [.jsonl] → Jsonl, [.txt]/[.metrics] → Metrics,
-    anything else (canonically [.json]) → Chrome. *)
+(** From a file name: [.jsonl] → Jsonl, anything else (canonically
+    [.json]) → Chrome. *)
 
 type session
 
@@ -83,57 +82,17 @@ val with_span : ?attrs:(unit -> attr list) -> string -> (unit -> 'a) -> 'a
 val instant : ?attrs:(unit -> attr list) -> string -> unit
 (** A point event (e.g. a faultpoint firing, a store quarantine). *)
 
-val count : ?n:int -> string -> unit
-(** Adds [n] (default 1) to a cumulative counter, and records a
-    counter sample event carrying the new total. *)
-
-val gauge : string -> float -> unit
-(** Sets a gauge to an absolute value (last write wins). *)
-
-val gauge_int : string -> int -> unit
-
-val observe : string -> int -> unit
-(** Adds one sample to a histogram (exact bucket per distinct value —
-    for small {e discrete} distributions, e.g. SCC sizes). Cardinality
-    is capped: after {!hist_cap} distinct buckets, previously unseen
-    values collapse into one overflow bucket that every sink renders
-    as ["overflow"] (sorted last). Continuous measurements (latencies)
-    belong in {!Metrics.observe}'s fixed-boundary histograms. *)
-
-val hist_cap : int
-(** Maximum distinct exact buckets per histogram (64). *)
-
-val overflow_bucket : int
-(** The sentinel bucket ([max_int]) absorbing values first seen after
-    the cap; {!metrics} reports it like any other bucket. *)
-
 (** {2 Reading a session back} *)
 
-type metric =
-  | Counter of int
-  | Gauge of float
-  | Hist of (int * int) list  (** (bucket value, sample count), sorted *)
-
-val metrics : session -> (string * metric) list
-(** Final metric values, sorted by key. *)
-
-val find_counter : session -> string -> int
-(** 0 when the counter never fired. *)
-
 val n_events : session -> int
-(** Recorded event count (span begins/ends, instants, counter
-    samples) — 0 proves a code path emitted nothing. *)
+(** Recorded event count (span begins/ends and instants) — 0 proves a
+    code path emitted nothing. *)
 
 val write : session -> format -> out_channel -> unit
 (** Renders the session in the given format. Call after {!finish} (an
     unfinished session may have unbalanced spans in Chrome output). *)
 
 val to_string : session -> format -> string
-
-val metrics_json : session -> string
-(** The metrics alone as one JSON object:
-    [{"counters":{..},"gauges":{..},"histograms":{"k":{"bucket":n}}}] —
-    the ["metrics"] member of [lalrgen stats] output. *)
 
 val json_escape : string -> string
 (** Shared JSON string escaping (also used by the CLI emitters). *)

@@ -207,7 +207,15 @@ let test_batch_line_schema () =
       "\"file\":\"suite:expr\""; "\"exit\":0"; "\"status\":\"ok\"";
       "\"retries\":0"; "\"wall_ms\":"; "\"lalr1\":true";
       "\"lr0_states\":13"; "\"stages\":{"; "\"lr0\":";
-    ]
+    ];
+  (* [completed] is a failure-only member: on success it would only
+     repeat the [stages] keys. *)
+  if contains (snd r) "\"completed\"" then
+    Alcotest.failf "clean job lists completed stages:\n%s" (snd r);
+  let r = run [ "batch"; "suite:ada-subset"; "--budget"; "fuel=5000" ] in
+  check_exit "budget trip" 3 r;
+  check_contains "failed job lists its completed stages"
+    "\"completed\":[\"analysis\",\"lr0\"" r
 
 (* ------------------------------------------------------------------ *)
 (* tracing                                                             *)
@@ -232,39 +240,76 @@ let test_trace_chrome_sink () =
         Alcotest.failf "chrome trace lacks %S:\n%s" needle t)
     [
       "\"traceEvents\":["; "\"displayTimeUnit\":\"ms\"";
-      (* engine spans and the end-of-run metrics instant (no reader
-         span: suite grammars are built-in, not parsed) *)
+      (* engine spans (no reader span: suite grammars are built-in, not
+         parsed) *)
       "\"name\":\"engine.lr0\""; "\"name\":\"engine.classification\"";
-      "\"name\":\"metrics\""; "\"lr0.states\":13";
     ]
 
 let test_trace_explicit_format () =
   (* FILE:FORMAT overrides the extension: a .json path forced to the
-     flat metrics sink. *)
+     jsonl sink. *)
   let out = temp_path ".json" in
-  let r = run [ "classify"; "suite:expr"; "--trace"; out ^ ":metrics" ] in
+  let r = run [ "classify"; "suite:expr"; "--trace"; out ^ ":jsonl" ] in
   check_exit "traced classify" 0 r;
   let t = read_file out in
   Sys.remove out;
   if contains t "traceEvents" then
-    Alcotest.failf "expected flat metrics, got chrome JSON:\n%s" t;
+    Alcotest.failf "expected jsonl, got chrome JSON:\n%s" t;
   List.iter
     (fun needle ->
       if not (contains t needle) then
-        Alcotest.failf "metrics sink lacks %S:\n%s" needle t)
-    [ "lr0.states 13"; "lalr.includes.edges 10" ]
+        Alcotest.failf "jsonl sink lacks %S:\n%s" needle t)
+    [ "{\"ev\":\"begin\",\"name\":\"engine.lr0\"" ]
+
+(* The fuel each budgeted stage burned is a [budget.fuel] instant: one
+   per stage the run computed, i.e. per row of the --timings table. *)
+let test_trace_budget_fuel () =
+  let out = temp_path ".jsonl" in
+  let r =
+    run
+      [ "classify"; "suite:ada-subset"; "--budget"; "fuel=100000";
+        "--timings"; "--trace"; out ]
+  in
+  check_exit "budgeted classify" 0 r;
+  let t = read_file out in
+  Sys.remove out;
+  let timed =
+    String.split_on_char '\n' (snd r)
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' (String.trim l) with
+           | stage :: _ when contains l " ms " && stage <> "total" -> Some stage
+           | _ -> None)
+  in
+  let module Json = Lalr_serve.Protocol.Json in
+  let str j k =
+    match Json.member k j with Some (Json.Str v) -> Some v | _ -> None
+  in
+  let fuel_stages =
+    String.split_on_char '\n' t
+    |> List.filter_map (fun l ->
+           match Json.parse l with
+           | Ok j when str j "name" = Some "budget.fuel" -> (
+               match Json.member "attrs" j with
+               | Some attrs -> (
+                   match (str attrs "stage", Json.member "fuel" attrs) with
+                   | Some stage, Some (Json.Num _) -> Some stage
+                   | _ -> Alcotest.failf "budget.fuel lacks stage/fuel: %s" l)
+               | None -> Alcotest.failf "budget.fuel without attrs: %s" l)
+           | _ -> None)
+  in
+  Alcotest.(check bool) "timings lists stages" true (List.length timed >= 8);
+  Alcotest.(check (list string)) "one budget.fuel instant per timed stage"
+    timed fuel_stages
 
 let test_stats_document () =
   let r = run [ "stats"; "suite:expr" ] in
   check_exit "stats" 0 r;
-  (* Structural members next to the gauges recorded on the other code
-     path — the consistency CI checks with jq, pinned here on one
-     grammar. *)
+  (* Structural members, pinned here on one grammar. *)
   List.iter
     (fun needle -> check_contains "stats member" needle r)
     [
       "\"lr0\": {\"states\":13"; "\"reads_edges\":0"; "\"includes_edges\":10";
-      "\"lalr1\": true"; "\"lalr.includes.edges\":10"; "\"lr0.states\":13";
+      "\"lalr1\": true";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -343,6 +388,8 @@ let () =
           Alcotest.test_case "chrome sink" `Quick test_trace_chrome_sink;
           Alcotest.test_case "explicit format" `Quick
             test_trace_explicit_format;
+          Alcotest.test_case "budget fuel instants" `Quick
+            test_trace_budget_fuel;
           Alcotest.test_case "stats document" `Quick test_stats_document;
         ] );
       ( "call",

@@ -1163,7 +1163,47 @@ let test_e2e_sigint_drain () =
       in
       Alcotest.(check bool) "main trace file flushed" true (non_empty trace);
       Alcotest.(check bool) "per-worker trace file flushed" true
-        (non_empty (trace ^ ".w0")))
+        (non_empty (trace ^ ".w0"));
+      (* A trace holds spans and instants only; the final health counts
+         ride on one serve.drained instant. *)
+      let events f =
+        match
+          Protocol.Json.parse (In_channel.with_open_bin f In_channel.input_all)
+        with
+        | Ok j -> (
+            match Protocol.Json.member "traceEvents" j with
+            | Some (Protocol.Json.List evs) -> evs
+            | _ -> Alcotest.failf "%s: no traceEvents array" f)
+        | Error m -> Alcotest.failf "%s: not JSON: %s" f m
+      in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun ev ->
+              match Protocol.Json.member "ph" ev with
+              | Some (Protocol.Json.Str ("B" | "E" | "i")) -> ()
+              | _ -> Alcotest.failf "%s: event is not a span or instant" f)
+            (events f))
+        [ trace; trace ^ ".w0" ];
+      let drained =
+        List.filter
+          (fun ev ->
+            Protocol.Json.member "name" ev
+            = Some (Protocol.Json.Str "serve.drained"))
+          (events trace)
+      in
+      Alcotest.(check int) "one serve.drained instant" 1 (List.length drained);
+      let completed =
+        match
+          Option.bind
+            (Protocol.Json.member "args" (List.hd drained))
+            (Protocol.Json.member "completed")
+        with
+        | Some (Protocol.Json.Num n) -> n
+        | _ -> Alcotest.fail "serve.drained lacks completed"
+      in
+      Alcotest.(check bool) "drain counted the served job" true
+        (completed >= 1.))
 
 (* --- batch --via-serve --------------------------------------------- *)
 
@@ -1292,6 +1332,10 @@ let test_e2e_scrape_reconciles () =
         (gauge s1 "lalr_serve_uptime_seconds" >= 0.);
       Alcotest.(check bool) "queue empty at scrape" true
         (gauge s1 "lalr_serve_queue_depth" = 0.);
+      Alcotest.(check bool) "connection counted" true
+        (Metrics.counter_total s1 "lalr_serve_connections_total" >= 1);
+      Alcotest.(check int) "no accept errors" 0
+        (Metrics.counter_total s1 "lalr_serve_accept_errors_total");
       (* per-worker GC gauges materialised under the worker label *)
       Alcotest.(check bool) "gc gauges per worker" true
         (Metrics.find s1
