@@ -207,6 +207,25 @@ let relations ?analysis (a : Lr0.t) =
     r_reduction_offsets = reduction_offsets;
   }
 
+(* Kahn's peel: a transition leaves once all its reads-predecessors
+   have, so some stay exactly when [reads] has a cycle, a self-loop
+   included: the nontrivial SCCs [solve_follow] reports. *)
+let reads_cyclic r =
+  let n = Csr.n_rows r.r_reads in
+  let indeg = Array.make n 0 and stack = Array.make n 0 in
+  Csr.edges r.r_reads (fun ~src:_ ~dst -> indeg.(dst) <- indeg.(dst) + 1);
+  let top = ref 0 and left = ref n in
+  let push x = stack.(!top) <- x; incr top in
+  Array.iteri (fun x d -> if d = 0 then push x) indeg;
+  while !top > 0 do
+    decr top;
+    decr left;
+    Csr.iter_row r.r_reads stack.(!top) (fun y ->
+        indeg.(y) <- indeg.(y) - 1;
+        if indeg.(y) = 0 then push y)
+  done;
+  !left > 0
+
 (* ------------------------------------------------------------------ *)
 (* Stage 2 — the two Digraph fixpoints                                *)
 (* ------------------------------------------------------------------ *)

@@ -104,6 +104,10 @@ val relations : ?analysis:Analysis.t -> Lalr_automaton.Lr0.t -> relations
     grammar when supplied (a memoizing caller passes its cached copy);
     it is recomputed otherwise. *)
 
+val reads_cyclic : relations -> bool
+(** [reads] has a cycle: {!diagnostics} would hold a [Reads_cycle].
+    O(|nonterminal transitions| + |reads edges|), with no set. *)
+
 val reduction_index : relations -> state:int -> prod:int -> int
 (** The reduction number of [(state, prod)], the one {!find_reduction}
     returns. Raises [Not_found] if that state does not reduce that

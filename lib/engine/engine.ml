@@ -58,7 +58,7 @@ type t = {
   relations_s : Lalr.relations slot;
   follow_s : Lalr.follow_sets slot;
   la_s : Lalr.t slot;
-  slr_s : Slr.t slot;
+  slr_s : (Slr.t * Tables.conflict_counts) slot;
   nqlalr_s : Nqlalr.t slot;
   propagation_s : Propagation.t slot;
   lr1_s : Lr1.t slot;
@@ -260,10 +260,16 @@ let lalr e =
   let f = follow e in
   forceb e e.la_s (fun () -> Lalr.of_stages r f)
 
-let slr e =
+(* The SLR(1) conflict count rides in the [slr] slot: the verdict
+   reads it first, and its time is the slot's. *)
+let slr_counted e =
   let an = analysis e in
   let a = lr0 e in
-  forceb e e.slr_s (fun () -> Slr.compute ~analysis:an a)
+  forceb e e.slr_s (fun () ->
+      let s = Slr.compute ~analysis:an a in
+      (s, Tables.count_conflicts ~lookahead:(Slr.lookahead s) a))
+
+let slr e = fst (slr_counted e)
 
 let nqlalr e =
   let r = relations e in
@@ -301,13 +307,18 @@ let tables_for e = function
 let lr1_limit = 250
 
 let classification ?(with_lr1 = false) e =
-  let lalr_v = lalr e in
-  let slr_v = slr e in
-  let nqlalr_v = nqlalr e in
-  let a = lr0 e in
   let v =
-    forceb e e.classification_s (fun () ->
-        Classify.assemble ~lalr:lalr_v ~slr:slr_v ~nqlalr:nqlalr_v a)
+    match e.classification_s.s_value with
+    | Some v ->
+        (* Forced, or seeded from a store entry that may hold no LA sets. *)
+        force e.classification_s (fun () -> v)
+    | None ->
+        let sl = snd (slr_counted e) in
+        let lalr_v = if sl.clash = Tables.Clean then None else Some (lalr e) in
+        let nqlalr_v = nqlalr e in
+        let r = relations e in
+        forceb e e.classification_s (fun () ->
+            Classify.assemble ?lalr:lalr_v ~slr:sl ~nqlalr:nqlalr_v r)
   in
   (* The LALR(1) clashes decide LR(1)-ness unless they are all
      reduce/reduce; only then is the canonical collection worth its

@@ -187,6 +187,8 @@ val lalr : t -> Lalr_core.Lalr.t
     sets. Shares the arrays of {!relations} and {!follow}. *)
 
 val slr : t -> Lalr_baselines.Slr.t
+(** The FOLLOW-based sets. The slot also holds their conflict count,
+    the first pass of {!classification}. *)
 
 val nqlalr : t -> Lalr_baselines.Nqlalr.t
 (** The NQLALR sets, projected from the {!relations} slot (paper §7):
@@ -218,9 +220,12 @@ val lr1_limit : int
 
 val classification : ?with_lr1:bool -> t -> Lalr_tables.Classify.verdict
 (** The full hierarchy verdict. It always forces the [classification]
-    slot first: {!Lalr_tables.Classify.assemble} over the [lr0], [la],
-    [slr] and [nqlalr] slots, one conflict-count pass per method and no
-    table slot. Its [lr1] is exact when [lr1_decided]. Otherwise (on a
+    slot first, returned as it is if seeded from the store. Otherwise
+    that is {!Lalr_tables.Classify.assemble} over the [slr] slot's
+    SLR(1) count, the [nqlalr] and [relations] slots and, only if SLR(1)
+    has a clash, the [la] slot: LA ⊆ FOLLOW, so an SLR(1)-clean grammar
+    is LALR(1) without the [follow] and [la] slots. No table slot is
+    forced. Its [lr1] is exact when [lr1_decided]. Otherwise (on a
     grammar of at most {!lr1_limit} productions), or under
     [~with_lr1:true] (default [false]), it then forces {!lr1} and
     returns the [classification+lr1] slot,

@@ -34,8 +34,10 @@ type t = {
    FollowNQ array and reduction index.
    7: Classify.verdict grew [lr1_decided]; the [classification+lr1]
    verdict refines the [classification] one instead of being assembled
-   beside it. *)
-let format_version = 7
+   beside it.
+   8: the [slr] slot holds the SLR(1) conflict counts beside its sets,
+   and an SLR(1)-clean verdict's entry holds no [follow] or [la]. *)
+let format_version = 8
 
 let magic = "LALRART1"
 
@@ -116,7 +118,7 @@ type bundle = {
   b_relations : Lalr_core.Lalr.relations option;
   b_follow : Lalr_core.Lalr.follow_sets option;
   b_la : Lalr_core.Lalr.t option;
-  b_slr : Lalr_baselines.Slr.t option;
+  b_slr : (Lalr_baselines.Slr.t * Lalr_tables.Tables.conflict_counts) option;
   b_nqlalr : Lalr_baselines.Nqlalr.t option;
   b_propagation : Lalr_baselines.Propagation.t option;
   b_lr1 : Lalr_baselines.Lr1.t option;

@@ -103,7 +103,8 @@ type bundle = {
   b_relations : Lalr_core.Lalr.relations option;
   b_follow : Lalr_core.Lalr.follow_sets option;
   b_la : Lalr_core.Lalr.t option;
-  b_slr : Lalr_baselines.Slr.t option;
+  b_slr : (Lalr_baselines.Slr.t * Lalr_tables.Tables.conflict_counts) option;
+      (** the SLR(1) sets with their conflict-count pass *)
   b_nqlalr : Lalr_baselines.Nqlalr.t option;
   b_propagation : Lalr_baselines.Propagation.t option;
   b_lr1 : Lalr_baselines.Lr1.t option;

@@ -1,8 +1,8 @@
 module Lr0 = Lalr_automaton.Lr0
 module Lalr = Lalr_core.Lalr
-module Slr = Lalr_baselines.Slr
 module Lr1 = Lalr_baselines.Lr1
 module Nqlalr = Lalr_baselines.Nqlalr
+module Budget = Lalr_guard.Budget
 
 type verdict = {
   lr0 : bool;
@@ -22,31 +22,38 @@ type verdict = {
   nq_rr_conflicts : int;
 }
 
-let assemble ~lalr ~slr ~nqlalr a =
+let assemble ?lalr ~(slr : Tables.conflict_counts) ~nqlalr
+    (r : Lalr.relations) =
+  let a = r.r_automaton in
   let count lookahead = Tables.count_conflicts ~lookahead a in
-  let la = count (Lalr.lookahead lalr) in
-  let sl = count (Slr.lookahead slr) in
+  (* LA(q, A→ω) ⊆ FOLLOW(A), so a grammar with no SLR(1) clash has no
+     LALR(1) clash either: SLR's zero counts are LALR's. *)
+  let la =
+    match (lalr, slr.clash) with
+    | Some t, _ -> count (Lalr.lookahead t)
+    | None, Tables.Clean -> slr
+    | None, (Tables.Reduce_reduce_only | Tables.Some_shift_reduce) ->
+        Budget.broken_invariant ~stage:"classification"
+          "a grammar with an SLR(1) clash needs its LALR(1) sets"
+  in
   let nq = count (Nqlalr.lookahead nqlalr) in
   let lalr1 = la.clash = Tables.Clean in
   {
     lr0 = Lr0.n_conflict_free_lr0 a;
-    slr1 = sl.clash = Tables.Clean;
+    slr1 = slr.clash = Tables.Clean;
     lalr1;
     (* LALR(1) implies LR(1), and a shift/reduce clash survives the
        core merge, so only reduce/reduce clashes leave LR(1) open. *)
     lr1 = lalr1;
     lr1_decided = la.clash <> Tables.Reduce_reduce_only;
     nqlalr1 = nq.clash = Tables.Clean;
-    not_lr_k =
-      List.exists
-        (function Lalr.Reads_cycle _ -> true | Lalr.Includes_cycle _ -> false)
-        (Lalr.diagnostics lalr);
+    not_lr_k = Lalr.reads_cyclic r;
     lr0_states = Lr0.n_states a;
     lr1_states = 0;
     lalr_sr_conflicts = la.n_sr;
     lalr_rr_conflicts = la.n_rr;
-    slr_sr_conflicts = sl.n_sr;
-    slr_rr_conflicts = sl.n_rr;
+    slr_sr_conflicts = slr.n_sr;
+    slr_rr_conflicts = slr.n_rr;
     nq_sr_conflicts = nq.n_sr;
     nq_rr_conflicts = nq.n_rr;
   }

@@ -20,7 +20,9 @@ type verdict = {
   nqlalr1 : bool;
       (** conflict-free under the NQLALR approximation; [lalr1 &&
           not nqlalr1] exhibits the paper's §7 complaint *)
-  not_lr_k : bool;  (** a [reads] cycle exists: not LR(k) for any k *)
+  not_lr_k : bool;
+      (** a [reads] cycle exists: a reduced grammar is then not LR(k)
+          for any k, but one that is not reduced may still be SLR(1) *)
   lr0_states : int;
   lr1_states : int;  (** [0] unless {!with_lr1} refined the verdict *)
   lalr_sr_conflicts : int;  (** unresolved, under exact LALR(1) sets *)
@@ -35,16 +37,19 @@ type verdict = {
     yet has no LALR(1) conflicts. *)
 
 val assemble :
-  lalr:Lalr_core.Lalr.t ->
-  slr:Lalr_baselines.Slr.t ->
+  ?lalr:Lalr_core.Lalr.t ->
+  slr:Tables.conflict_counts ->
   nqlalr:Lalr_baselines.Nqlalr.t ->
-  Lalr_automaton.Lr0.t ->
+  Lalr_core.Lalr.relations ->
   verdict
-(** Builds a verdict from precomputed artifacts (all for the same
-    grammar and LR(0) automaton) with one {!Tables.count_conflicts}
-    pass per method, which gives the method's counts and, by its clash
-    class, its boolean. [lr0] is the automaton's shape
-    ({!Lalr_automaton.Lr0.n_conflict_free_lr0}). [lr1] is [lalr1] and
+(** Builds a verdict from precomputed artifacts, all for the automaton
+    of the relations. [slr] is the SLR(1) {!Tables.count_conflicts}
+    pass; one more per other method gives its counts and, by its clash
+    class, its boolean. Without [?lalr], allowed only when [slr] found
+    no clash (else a {!Lalr_guard.Budget.broken_invariant}), LALR(1)'s
+    counts are SLR(1)'s zeros: LA(q, A→ω) ⊆ FOLLOW(A). [lr0] is the
+    automaton's shape ({!Lalr_automaton.Lr0.n_conflict_free_lr0}),
+    [not_lr_k] is {!Lalr_core.Lalr.reads_cyclic}, [lr1] is [lalr1] and
     [lr1_states] is [0]. *)
 
 val with_lr1 : verdict -> Lalr_baselines.Lr1.t -> verdict

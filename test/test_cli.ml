@@ -80,17 +80,15 @@ let test_exit_2_diagnostics () =
   check_exit "broken grammar" 2 (run [ "classify"; broken ]);
   Sys.remove broken
 
+(* The faults sit in [follow] and [la], which classify forces only on
+   a grammar with an SLR(1) clash: assign is LALR(1), not SLR(1). *)
 let test_exit_3_budget () =
-  let g = good_grammar () in
-  let r = run [ "classify"; g; "--inject"; "follow:wall" ] in
-  Sys.remove g;
+  let r = run [ "classify"; "suite:assign"; "--inject"; "follow:wall" ] in
   check_exit "injected wall" 3 r;
   check_contains "injected wall" "budget exceeded" r
 
 let test_exit_4_internal () =
-  let g = good_grammar () in
-  let r = run [ "classify"; g; "--inject"; "la:raise" ] in
-  Sys.remove g;
+  let r = run [ "classify"; "suite:assign"; "--inject"; "la:raise" ] in
   check_exit "injected raise" 4 r;
   check_contains "injected raise" "internal error" r
 
@@ -145,14 +143,63 @@ let test_classify_lr1_not_lalr () =
   check_contains "lr1-not-lalr" "LR(1) (not LALR(1))" r;
   check_contains "lr1-not-lalr" "LR(1) states 15" r
 
+(* Two SLR(1) grammars whose verdict needs more than the SLR(1) pass.
+   In the first, NQLALR's state quotient merges goto(s_xx, cc) with
+   goto(s_zz, cc), so [b] leaks into the reduction xx → x. The second
+   is not reduced ([u] derives no sentence), and its reads relation is
+   cyclic. *)
+let classify_pinned name src want =
+  let g = temp_grammar src in
+  let r = run [ "classify"; g ] in
+  Sys.remove g;
+  check_exit name 0 r;
+  Alcotest.(check string) (name ^ ": stdout") want (snd r)
+
+let test_classify_slr_not_nqlalr () =
+  classify_pinned "slr-not-nqlalr"
+    {|
+%token a b c x z
+%start s
+%%
+s : xx d a | zz d b ;
+xx : x ;
+zz : x b | z ;
+d : cc ;
+cc : | c ;
+|}
+    "SLR(1) (not LR(0)); LR(0) states 14; NQLALR reports spurious conflicts \
+     (1 s/r, 0 r/r)\n\
+     LR(0):    false\n\
+     SLR(1):   true (0 s/r, 0 r/r conflicts)\n\
+     LALR(1):  true (0 s/r, 0 r/r conflicts)\n\
+     NQLALR:   false (1 s/r, 0 r/r conflicts)\n"
+
+let test_classify_slr_reads_cycle () =
+  classify_pinned "slr-reads-cycle"
+    {|
+%token a
+%start s
+%%
+s : a | u ;
+u : cc u ;
+cc : ;
+|}
+    "SLR(1) (not LR(0)); LR(0) states 7\n\
+     LR(0):    false\n\
+     SLR(1):   true (0 s/r, 0 r/r conflicts)\n\
+     LALR(1):  true (0 s/r, 0 r/r conflicts)\n\
+     NQLALR:   true (0 s/r, 0 r/r conflicts)\n\
+     not LR(k) for any k (reads relation is cyclic)\n"
+
 (* ------------------------------------------------------------------ *)
 (* keep-going                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_keep_going_partial () =
-  let g = good_grammar () in
-  let r = run [ "classify"; g; "--keep-going"; "--inject"; "follow:wall" ] in
-  Sys.remove g;
+  let r =
+    run
+      [ "classify"; "suite:assign"; "--keep-going"; "--inject"; "follow:wall" ]
+  in
   (* same exit code as without --keep-going … *)
   check_exit "keep-going preserves the code" 3 r;
   (* … but the completed prefix is rendered, loudly marked *)
@@ -185,10 +232,11 @@ let test_batch_aggregate_and_isolation () =
 
 let test_batch_retries_internal_once () =
   (* [la:raise@2] fires on the second forcing of [la] — the second
-     job's first attempt. Its retry recomputes cleanly, so the batch
-     reports the fault as retried and the job lands on its verdict. *)
+     job's first attempt (assign has an SLR(1) clash, so its verdict
+     forces [la]). Its retry recomputes cleanly, so the batch reports
+     the fault as retried and the job lands on its verdict. *)
   let r, out =
-    run [ "batch"; "suite:expr"; "suite:expr"; "--inject"; "la:raise@2" ]
+    run [ "batch"; "suite:assign"; "suite:assign"; "--inject"; "la:raise@2" ]
   in
   check_exit "retried to success" 0 (r, out);
   check_contains "retry recorded" "\"retries\":1" (r, out)
@@ -262,7 +310,9 @@ let test_trace_explicit_format () =
     [ "{\"ev\":\"begin\",\"name\":\"engine.lr0\"" ]
 
 (* The fuel each budgeted stage burned is a [budget.fuel] instant: one
-   per stage the run computed, i.e. per row of the --timings table. *)
+   per stage the run computed, i.e. per row of the --timings table.
+   The rows are in slot order and the instants in forcing order, where
+   the SLR(1) pass comes first. *)
 let test_trace_budget_fuel () =
   let out = temp_path ".jsonl" in
   let r =
@@ -299,7 +349,12 @@ let test_trace_budget_fuel () =
   in
   Alcotest.(check bool) "timings lists stages" true (List.length timed >= 8);
   Alcotest.(check (list string)) "one budget.fuel instant per timed stage"
-    timed fuel_stages
+    (List.sort compare timed)
+    (List.sort compare fuel_stages);
+  Alcotest.(check (list string)) "forcing order"
+    [ "analysis"; "lr0"; "slr"; "relations"; "follow"; "la"; "nqlalr";
+      "classification" ]
+    fuel_stages
 
 let test_stats_document () =
   let r = run [ "stats"; "suite:expr" ] in
@@ -371,6 +426,10 @@ let () =
             test_classify_with_lr1;
           Alcotest.test_case "lr1-not-lalr still LR(1)" `Quick
             test_classify_lr1_not_lalr;
+          Alcotest.test_case "SLR(1), not NQLALR(1)" `Quick
+            test_classify_slr_not_nqlalr;
+          Alcotest.test_case "SLR(1) with a reads cycle" `Quick
+            test_classify_slr_reads_cycle;
         ] );
       ( "keep-going",
         [ Alcotest.test_case "partial render" `Quick test_keep_going_partial ] );

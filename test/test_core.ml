@@ -185,12 +185,34 @@ let la_subset_follow t =
   done;
   !ok
 
+(* The two FOLLOWs agree on a reduced grammar: FOLLOW(A) = ⋃ₚ
+   Follow(p, A). Unreachable or unproductive productions can feed
+   FOLLOW and no transition, so the equality needs reduction. The
+   augmented start has no transition and is skipped. *)
+let follow_is_union_of_follows t =
+  let g = Lalr.grammar t and a = Lalr.automaton t in
+  let union =
+    Array.init (G.n_nonterminals g) (fun _ -> Bitset.create (G.n_terminals g))
+  in
+  for x = 0 to Lr0.n_nt_transitions a - 1 do
+    let _, nt = Lr0.nt_transition a x in
+    ignore (Bitset.union_into ~into:union.(nt) (Lalr.follow t x))
+  done;
+  let ok = ref true in
+  for nt = 1 to G.n_nonterminals g - 1 do
+    if not (Bitset.equal union.(nt) (Analysis.follow (Lalr.analysis t) nt))
+    then ok := false
+  done;
+  !ok
+
 let test_suite_inclusions () =
   List.iter
     (fun (e : Registry.entry) ->
       let t = Lalr.compute (Lr0.build (Lazy.force e.grammar)) in
       check (e.name ^ ": DR ⊆ Read ⊆ Follow") true (dr_read_follow_chain t);
-      check (e.name ^ ": LA ⊆ FOLLOW(lhs)") true (la_subset_follow t))
+      check (e.name ^ ": LA ⊆ FOLLOW(lhs)") true (la_subset_follow t);
+      check (e.name ^ ": FOLLOW = ⋃ Follow") true
+        (follow_is_union_of_follows t))
     Registry.all
 
 (* ------------------------------------------------------------------ *)
@@ -287,11 +309,27 @@ let prop_boxed_identity_random =
         done;
       !ok)
 
+(* Randgen's start symbol is [n0]: the splice makes a grammar
+   non-reduced ([zu] derives no sentence), with a reads cycle through
+   the nullable [zc]. The SLR-first verdict needs LA ⊆ FOLLOW on such
+   grammars too. *)
+let with_reads_cycle g =
+  Lalr_grammar.Reader.of_string ~name:"spliced"
+    (Lalr_grammar.Reader.to_string g ^ "\nn0 : zu ;\nzu : zc zu ;\nzc : ;\n")
+
 let prop_inclusions_random =
   QCheck.Test.make ~name:"DR ⊆ Read ⊆ Follow and LA ⊆ FOLLOW (random)"
     ~count:150 (Randgen.arbitrary ()) (fun g ->
-      let t = Lalr.compute (Lr0.build g) in
-      dr_read_follow_chain t && la_subset_follow t)
+      List.for_all
+        (fun g ->
+          let t = Lalr.compute (Lr0.build g) in
+          dr_read_follow_chain t && la_subset_follow t)
+        [ g; with_reads_cycle g ])
+
+let prop_follow_union_random =
+  QCheck.Test.make ~name:"FOLLOW(A) = ⋃ Follow(p, A) (reduced grammars)"
+    ~count:150 (Randgen.arbitrary ()) (fun g ->
+      follow_is_union_of_follows (Lalr.compute (Lr0.build g)))
 
 let prop_la_nonempty_random =
   QCheck.Test.make
@@ -348,6 +386,7 @@ let () =
       qsuite "props"
         [
           prop_inclusions_random;
+          prop_follow_union_random;
           prop_la_nonempty_random;
           prop_boxed_identity_random;
         ];

@@ -44,6 +44,16 @@ let read_file path =
 (* Engine artifacts = direct per-module computation                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The verdict with every count pass run: the exact sets are counted
+   even where the SLR(1) pass alone decides. *)
+let full_verdict a =
+  let r = Lalr.relations a in
+  let s = Slr.compute a in
+  Classify.assemble
+    ~lalr:(Lalr.of_stages r (Lalr.solve_follow r))
+    ~slr:(Tables.count_conflicts ~lookahead:(Slr.lookahead s) a)
+    ~nqlalr:(Nqlalr.compute r) r
+
 (* Engine-mediated LA sets, tables and classification vs computing
    each from scratch; returns an error description or None. *)
 let engine_vs_direct g =
@@ -64,13 +74,7 @@ let engine_vs_direct g =
   let direct_tbl = Tables.build ~lookahead:(Lalr.lookahead t) a in
   let pp_tbl tbl = render (fun ppf -> Tables.pp ppf tbl) in
   if pp_tbl direct_tbl <> pp_tbl (Engine.tables e) then fail "tables differ";
-  let direct =
-    Classify.with_lr1
-      (Classify.assemble ~lalr:t ~slr:(Slr.compute a)
-         ~nqlalr:(Nqlalr.compute (Lalr.relations a))
-         a)
-      (Lr1.build g)
-  in
+  let direct = Classify.with_lr1 (full_verdict a) (Lr1.build g) in
   if direct <> Engine.classification ~with_lr1:true e then
     fail "classification differs";
   !err
@@ -176,6 +180,127 @@ let test_default_vs_lr1_random () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The SLR-first verdict                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The default verdict against the full one. Returns whether it took
+   the short path (the [la] slot unforced), the verdict, and an error
+   description, if any: the short path is for SLR(1)-clean grammars
+   only, and [not_lr_k] is the reads-cycle diagnostic of the solved
+   sets. *)
+let short_vs_full g =
+  let e = Engine.create g in
+  let v = Engine.classification e in
+  let short = not (Engine.find_stage e "la").Engine.forced in
+  let a = Engine.lr0 e in
+  let full =
+    if (Engine.find_stage e "lr1").Engine.forced then
+      Classify.with_lr1 (full_verdict a) (Engine.lr1 e)
+    else full_verdict a
+  in
+  let reads_cycle =
+    List.exists
+      (function Lalr.Reads_cycle _ -> true | Lalr.Includes_cycle _ -> false)
+      (Lalr.diagnostics (Lalr.compute a))
+  in
+  let err =
+    if v <> full then Some "default verdict differs from the full one"
+    else if short <> v.slr1 then
+      Some
+        (if short then "skipped the LALR(1) sets despite an SLR(1) clash"
+         else "forced the LALR(1) sets on an SLR(1)-clean grammar")
+    else if v.not_lr_k <> reads_cycle then
+      Some "not_lr_k differs from the reads-cycle diagnostic"
+    else None
+  in
+  (short, v, err)
+
+(* Two SLR(1) grammars whose verdict needs more than the SLR(1) pass.
+   In the first, NQLALR's state quotient merges goto(s_xx, cc) with
+   goto(s_zz, cc), so [b] leaks into the reduction xx → x of the state
+   {xx → x·, zz → x·b}: SLR(1) does not imply NQLALR(1). The second is
+   not reduced ([u] derives no sentence) and its reads relation is
+   cyclic, so "LALR(1) ⇒ no reads cycle" fails without reduction. *)
+let slr_not_nqlalr_src =
+  {|
+%token a b c x z
+%start s
+%%
+s : xx d a | zz d b ;
+xx : x ;
+zz : x b | z ;
+d : cc ;
+cc : | c ;
+|}
+
+let slr_reads_cycle_src =
+  {|
+%token a
+%start s
+%%
+s : a | u ;
+u : cc u ;
+cc : ;
+|}
+
+let test_short_vs_full_fixtures () =
+  List.iter
+    (fun (name, src, (pin : Classify.verdict -> bool)) ->
+      let g = Lalr_grammar.Reader.of_string ~name src in
+      match short_vs_full g with
+      | _, _, Some msg -> Alcotest.failf "%s: %s" name msg
+      | short, v, None ->
+          check (name ^ ": short path") true short;
+          check (name ^ ": verdict") true (pin v))
+    [
+      ( "slr-not-nqlalr",
+        slr_not_nqlalr_src,
+        fun v ->
+          v.lalr1 && (not v.nqlalr1) && v.nq_sr_conflicts = 1
+          && v.nq_rr_conflicts = 0 && not v.not_lr_k );
+      ("slr-reads-cycle", slr_reads_cycle_src, fun v -> v.slr1 && v.not_lr_k);
+    ]
+
+(* Randgen's start symbol is [n0]: the splice leaves each grammar's
+   sentences as they were and makes it non-reduced ([zu] derives no
+   sentence), with a reads cycle through the nullable [zc]. *)
+let with_reads_cycle g =
+  Lalr_grammar.Reader.of_string ~name:"spliced"
+    (Lalr_grammar.Reader.to_string g ^ "\nn0 : zu ;\nzu : zc zu ;\nzc : ;\n")
+
+let test_short_vs_full_random () =
+  let short = ref 0 and full = ref 0 in
+  List.iteri
+    (fun i config ->
+      let prop =
+        QCheck.Test.make ~name:"SLR-first = full verdict (random grammars)"
+          ~count:150 (Randgen.arbitrary ~config ()) (fun g ->
+            List.for_all
+              (fun g ->
+                let s, _, err = short_vs_full g in
+                incr (if s then short else full);
+                match err with
+                | None -> true
+                | Some msg -> QCheck.Test.fail_report msg)
+              [ g; with_reads_cycle g ])
+      in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 21 + i |]) prop)
+    [
+      Randgen.default;
+      { Randgen.default with epsilon_weight = 0.35 };
+      { n_terminals = 2; n_nonterminals = 3; max_rhs = 3;
+        productions_per_nt = 1; epsilon_weight = 0.15 };
+      { n_terminals = 6; n_nonterminals = 8; max_rhs = 5;
+        productions_per_nt = 2; epsilon_weight = 0.1 };
+    ];
+  Printf.printf
+    "random grammars and their spliced variants: %d took the short path, %d \
+     the full one\n"
+    !short !full;
+  if !short = 0 then Alcotest.fail "no random grammar took the short path";
+  if !full = 0 then Alcotest.fail "no random grammar took the full path"
+
+(* ------------------------------------------------------------------ *)
 (* Force-once slot discipline                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -202,11 +327,14 @@ let test_la_forces_relations_once () =
 (* The verdict counts conflicts without building a table. It forces
    its inputs and the [classification] slot, then the canonical machine
    and the [classification+lr1] slot that refines it, under [~with_lr1]
-   or on the reduce/reduce-only grammars; and nothing else. Every
-   forced slot is computed once. *)
+   or on the reduce/reduce-only grammars; and nothing else. The exact
+   sets ([follow], [la]) are inputs only where SLR(1) has a clash.
+   Every forced slot is computed once. *)
 let test_classification_builds_no_tables () =
-  let expected ~refined =
-    [ "analysis"; "lr0"; "relations"; "follow"; "la"; "slr"; "nqlalr" ]
+  let expected ~slr1 ~refined =
+    [ "analysis"; "lr0"; "relations" ]
+    @ (if slr1 then [] else [ "follow"; "la" ])
+    @ [ "slr"; "nqlalr" ]
     @ (if refined then [ "lr1" ] else [])
     @ [ "classification" ]
     @ if refined then [ "classification+lr1" ] else []
@@ -225,7 +353,7 @@ let test_classification_builds_no_tables () =
           in
           Alcotest.(check (list string))
             (label ^ ": forced slots")
-            (expected
+            (expected ~slr1:entry.expected.slr1
                ~refined:
                  (with_lr1 || List.mem entry.name [ "lr1-not-lalr"; "lalr2" ]))
             (List.map (fun (s : Engine.stage) -> s.stage) forced);
@@ -393,6 +521,13 @@ let () =
             test_default_vs_lr1_suite;
           Alcotest.test_case "default = --with-lr1 on random grammars" `Quick
             test_default_vs_lr1_random;
+        ] );
+      ( "slr-first",
+        [
+          Alcotest.test_case "short path = full verdict on the fixtures" `Quick
+            test_short_vs_full_fixtures;
+          Alcotest.test_case "short path = full verdict on random grammars"
+            `Quick test_short_vs_full_random;
         ] );
       ( "slots",
         [

@@ -38,6 +38,18 @@ stmt : if_ expr then_ stmt
 
 let dangling () = Reader.of_string ~name:"store-test2" dangling_src
 
+(* LALR(1) but not SLR(1), so its verdict forces [follow] and [la]. *)
+let assign () =
+  Reader.of_string ~name:"store-test3"
+    {|
+%token eq star id
+%start s
+%%
+s : l eq r | r ;
+l : star r | id ;
+r : l ;
+|}
+
 let dir_counter = ref 0
 
 let fresh_dir () =
@@ -106,6 +118,28 @@ let test_warm_engine_recomputes_nothing () =
           0 stage.misses)
     (Engine.stats e);
   Alcotest.(check int) "store hit" 1 (Store.stats st).Store.hits
+
+(* expr is SLR(1): its verdict reads no Follow or LA sets, so its entry
+   holds none, and a warm engine answers from the entry alone. *)
+let test_short_path_entry () =
+  let g = expr () in
+  let st = Store.create ~dir:(fresh_dir ()) in
+  let e = Engine.create ~store:st g in
+  let v = Engine.classification e in
+  Engine.persist ~force:true e;
+  (match Store.load st g with
+  | None -> Alcotest.fail "entry not written"
+  | Some b ->
+      Alcotest.(check bool) "no follow" true (Option.is_none b.Store.b_follow);
+      Alcotest.(check bool) "no la" true (Option.is_none b.Store.b_la));
+  let warm = Engine.create ~store:st g in
+  Alcotest.(check bool) "same verdict" true (Engine.classification warm = v);
+  List.iter
+    (fun (stage : Engine.stage) ->
+      Alcotest.(check int)
+        (Printf.sprintf "stage %s not recomputed" stage.stage)
+        0 stage.misses)
+    (Engine.stats warm)
 
 (* ------------------------------------------------------------------ *)
 (* Damage modes: each one is a counted quarantine + miss, then a clean
@@ -319,7 +353,7 @@ let test_run_partial_marks_incomplete () =
   (match Faultpoint.arm "follow:wall" with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  let e = Engine.create (expr ()) in
+  let e = Engine.create (assign ()) in
   let p = Engine.run_partial e (fun e -> Engine.classification e) in
   Faultpoint.disarm ();
   (match p.Engine.pr_completeness with
@@ -328,7 +362,7 @@ let test_run_partial_marks_incomplete () =
   | _ -> Alcotest.fail "expected an incomplete budget failure");
   Alcotest.(check bool) "no value" true (p.Engine.pr_value = None);
   Alcotest.(check (list string))
-    "completed prefix" [ "analysis"; "lr0"; "relations" ]
+    "completed prefix" [ "analysis"; "lr0"; "relations"; "slr" ]
     p.Engine.pr_completed
 
 let test_run_partial_complete () =
@@ -366,6 +400,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "warm engine recomputes nothing" `Quick
             test_warm_engine_recomputes_nothing;
+          Alcotest.test_case "SLR(1)-clean entry has no LA sets" `Quick
+            test_short_path_entry;
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "bit flip" `Quick test_bit_flip;
           Alcotest.test_case "version skew" `Quick test_version_skew;
