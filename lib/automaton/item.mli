@@ -22,6 +22,12 @@ val dot : table -> int -> int
 val next_symbol : table -> int -> Symbol.t option
 (** The symbol after the dot; [None] for a final item. *)
 
+val next_code : table -> int -> int
+(** The symbol after the dot as an int code, allocation-free: terminal
+    [t] is [t], nonterminal [n] is [n_terminals + n], and a final item
+    is [-1]. Ascending codes are the order of the packed transition
+    rows: terminals, then nonterminals. *)
+
 val is_final : table -> int -> bool
 (** Dot at the end of the rhs — the item calls for a reduction. *)
 

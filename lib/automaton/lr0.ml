@@ -14,7 +14,7 @@ type t = {
   (* Kernels, closures and the packed transition rows (DESIGN.md §14).
      A nonterminal transition's number is its position in the n_* rows,
      so the numbering is row-major (state, nonterminal). *)
-  c : int Collection.t;
+  c : Collection.t;
   tr_n_srcs : int array;  (* source state of each nonterminal transition *)
   (* (state, symbol) -> position in the rows above, for point lookups. *)
   t_index : Cell_index.t;
@@ -35,34 +35,61 @@ let state a id =
   in
   { id; kernel; items = a.c.closures.(id); accessing }
 
-(* Closure of a kernel: add initial items of every production of every
-   nonterminal appearing after a dot, to fixpoint. [mark] stamps the
-   items already added for the kernel being closed. *)
+(* Closure of a kernel: the kernel plus, for each nonterminal after a
+   dot in it, that nonterminal's closure — the initial items of every
+   production reachable through leftmost nonterminals — memoized on
+   first use, so the memo holds only what some state's closure holds.
+   [mark] stamps the items already in [buf]. *)
 let closure g tbl =
+  let n_term = Grammar.n_terminals g in
   let mark = Array.make (Item.n_items tbl) (-1) and stamp = ref (-1) in
+  let buf = Array.make (Item.n_items tbl) 0 and len = ref 0 in
+  let add item =
+    let fresh = mark.(item) <> !stamp in
+    if fresh then begin
+      mark.(item) <- !stamp;
+      buf.(!len) <- item;
+      incr len
+    end;
+    fresh
+  in
+  let nt_after item = Item.next_code tbl item - n_term in
+  let rec add_nt n =
+    Array.iter
+      (fun pid ->
+        let item = Item.initial tbl ~prod:pid in
+        if add item && nt_after item >= 0 then add_nt (nt_after item))
+      (Grammar.productions_of g n)
+  in
+  (* An empty entry is not computed yet (or has nothing to compute). *)
+  let memo = Array.make (Grammar.n_nonterminals g) [||] in
   fun kernel ->
+    (* Memoize first: a nonterminal's closure is built in [buf] too. *)
+    Array.iter
+      (fun item ->
+        let n = nt_after item in
+        if n >= 0 && Array.length memo.(n) = 0 then begin
+          incr stamp;
+          len := 0;
+          add_nt n;
+          memo.(n) <- Array.sub buf 0 !len
+        end)
+      kernel;
     incr stamp;
-    let acc = ref [] in
-    let rec add item =
-      if mark.(item) <> !stamp then begin
-        mark.(item) <- !stamp;
-        acc := item :: !acc;
-        match Item.next_symbol tbl item with
-        | Some (Symbol.N n) ->
-            Array.iter
-              (fun pid -> add (Item.initial tbl ~prod:pid))
-              (Grammar.productions_of g n)
-        | Some (Symbol.T _) | None -> ()
-      end
-    in
-    Array.iter add kernel;
-    Array.of_list !acc
+    len := 0;
+    Array.iter (fun item -> ignore (add item)) kernel;
+    Array.iter
+      (fun item ->
+        let n = nt_after item in
+        if n >= 0 then Array.iter (fun i -> ignore (add i)) memo.(n))
+      kernel;
+    Array.sub buf 0 !len
 
 let build g =
   Budget.with_stage "lr0" @@ fun () ->
   let tbl = Item.make g in
   let c =
-    Collection.build g tbl ~name:"LR(0)" ~compare:Int.compare ~core:Fun.id
+    Collection.build g tbl ~name:"LR(0)" ~core:Fun.id
       ~advance:(Item.advance tbl) ~closure:(closure g tbl)
       (Item.initial tbl ~prod:0)
   in
@@ -71,16 +98,16 @@ let build g =
     let lo = c.n_offsets.(s) in
     Array.fill tr_n_srcs lo (c.n_offsets.(s + 1) - lo) s
   done;
+  (* A production has one final item, and item numbers ascend with
+     production ids, so a sorted closure lists its reductions in order. *)
   let reductions =
     Array.map
       (fun items ->
-        Array.to_list items
-        |> List.filter_map (fun item ->
-               if Item.is_final tbl item then
-                 let p = Item.prod tbl item in
-                 if p = 0 then None else Some p
-               else None)
-        |> List.sort_uniq Int.compare)
+        Array.fold_right
+          (fun item acc ->
+            let p = Item.prod tbl item in
+            if Item.is_final tbl item && p <> 0 then p :: acc else acc)
+          items [])
       c.closures
   in
   {

@@ -12,7 +12,7 @@ type t = {
   grammar : Grammar.t;
   items : Item.table;
   n_term : int;
-  c : int Collection.t;
+  c : Collection.t;
 }
 
 let n_states t = Collection.n_states t.c
@@ -56,7 +56,7 @@ let build g =
   (* Initial kernel: [S' → . start $, $]. The la of this item is never
      consulted ($ cannot follow the augmented start); $ is conventional. *)
   let c =
-    Collection.build g tbl ~name:"canonical LR(1)" ~compare:Int.compare
+    Collection.build g tbl ~name:"canonical LR(1)"
       ~core:(fun packed -> packed / n_term)
       ~advance:(fun packed -> packed + n_term)
       ~closure:(closure g tbl analysis ~n_la:n_term)

@@ -124,37 +124,8 @@ let relations ?analysis (a : Lr0.t) =
   done;
   let reads = Csr.build ~rev:true reads_b in
 
-  (* includes: for each nonterminal transition (p',B) and production
-     B → ω, walk ω from p'; at each nonterminal position i with nullable
-     suffix, (state_before_ω_i, ω_i) includes (p',B). *)
-  let includes_b = Csr.create_builder ~edges_hint:(2 * nx) nx in
-  for x' = 0 to nx - 1 do
-    Budget.burn ();
-    let p', b = Lr0.nt_transition a x' in
-    Array.iter
-      (fun pid ->
-        Budget.burn ();
-        let prod = Grammar.production g pid in
-        let len = Array.length prod.rhs in
-        let state = ref p' in
-        for i = 0 to len - 1 do
-          (match prod.rhs.(i) with
-          | Symbol.N c
-            when Analysis.nullable_sentence analysis prod.rhs ~from:(i + 1)
-                   ~upto:len ->
-              let x = Lr0.find_nt_transition a !state c in
-              Csr.add includes_b ~src:x ~dst:x'
-          | Symbol.N _ | Symbol.T _ -> ());
-          state := Lr0.goto_exn a !state prod.rhs.(i)
-        done)
-      (Grammar.productions_of g b)
-  done;
-  let includes = Csr.build includes_b in
-
-  (* Reductions and lookback. A reduction is a (state q, production
-     A → ω) with the final item in q; production 0 is excluded (accept).
-     lookback(q, A→ω) = { (p,A) | p --ω--> q }: enumerate from the (p,A)
-     side so each pair is found by walking ω from p. *)
+  (* Reductions: a reduction is a (state q, production A → ω) with the
+     final item in q; production 0 is excluded (accept). *)
   let n_states = Lr0.n_states a in
   let reduction_offsets = Array.make (n_states + 1) 0 in
   let n_red = ref 0 in
@@ -169,32 +140,60 @@ let relations ?analysis (a : Lr0.t) =
       (fun i pid -> reduction_pairs.(reduction_offsets.(q) + i) <- (q, pid))
       (Lr0.reductions a q)
   done;
+
+  (* includes and lookback, off one walk of ω from p' for each
+     nonterminal transition (p',B) and production B → ω: at each
+     nonterminal position i with a nullable suffix ω_(i+1..),
+     (state_before_ω_i, ω_i) includes (p',B); where the walk ends, in
+     q, (p',B) is in lookback(q, B→ω). [nullable_from.(pid)] is where
+     the production's longest nullable suffix starts. *)
+  let nullable_from =
+    Array.init (Grammar.n_productions g) (fun pid ->
+        let rhs = (Grammar.production g pid).rhs in
+        let i = ref (Array.length rhs) in
+        while !i > 0 && Analysis.nullable_symbol analysis rhs.(!i - 1) do
+          decr i
+        done;
+        !i)
+  in
+  let includes_b = Csr.create_builder ~edges_hint:(2 * nx) nx in
   let lookback_b =
     Csr.create_builder ~edges_hint:(2 * !n_red) ~n_cols:(max nx 1) !n_red
   in
-  for x = 0 to nx - 1 do
+  for x' = 0 to nx - 1 do
     Budget.burn ();
-    let p, aa = Lr0.nt_transition a x in
+    Budget.burn ();
+    let p', b = Lr0.nt_transition a x' in
     Array.iter
       (fun pid ->
-        let prod = Grammar.production g pid in
-        if pid <> 0 then begin
-          let q = Lr0.traverse a p prod.rhs ~from:0 in
+        Budget.burn ();
+        let rhs = (Grammar.production g pid).rhs in
+        let state = ref p' in
+        for i = 0 to Array.length rhs - 1 do
+          match rhs.(i) with
+          | Symbol.N c ->
+              let x = Lr0.find_nt_transition a !state c in
+              if i + 1 >= nullable_from.(pid) then
+                Csr.add includes_b ~src:x ~dst:x';
+              state := Lr0.nt_transition_target a x
+          | Symbol.T _ -> state := Lr0.goto_exn a !state rhs.(i)
+        done;
+        if pid <> 0 then
           match
             find_reduction_opt ~offsets:reduction_offsets
-              ~pairs:reduction_pairs ~state:q ~prod:pid
+              ~pairs:reduction_pairs ~state:!state ~prod:pid
           with
-          | Some r -> Csr.add lookback_b ~src:r ~dst:x
+          | Some r -> Csr.add lookback_b ~src:r ~dst:x'
           | None ->
-              (* q must contain the final item of pid. *)
+              (* The state reached must contain the final item of pid. *)
               Budget.broken_invariant ~stage:"relations"
                 (Printf.sprintf
                    "lookback: state %d reached by walking production %d from \
                     nonterminal transition %d lacks the final item"
-                   q pid x)
-        end)
-      (Grammar.productions_of g aa)
+                   !state pid x'))
+      (Grammar.productions_of g b)
   done;
+  let includes = Csr.build includes_b in
   let lookback = Csr.build ~rev:true lookback_b in
   {
     r_automaton = a;

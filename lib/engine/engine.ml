@@ -142,54 +142,6 @@ let store e = e.store_opt
    without perturbing the force-once hit/miss counters. *)
 let peek_lr0_states e = Option.map Lr0.n_states e.lr0_s.s_value
 
-let total_wall_of slots = List.fold_left (fun acc w -> acc +. w) 0. slots
-
-let persist ?(force = false) e =
-  match e.store_opt with
-  | None -> ()
-  | Some st ->
-      (* Whatever is forced — including the completed prefix of a run
-         the budget interrupted — is worth keeping for the next
-         process. Seeded slots round-trip unchanged.
-
-         Exception: a grammar whose whole compute took under
-         [Store.small_threshold] is cheaper to recompute than to load
-         (BENCH_pr4: warm-cache 'json' ran at 0.75x of recompute), so
-         persisting it would only slow the next run down. [~force]
-         overrides, for tests and deliberate cache warming. *)
-      let wall =
-        total_wall_of
-          [
-            e.analysis_s.s_wall; e.lr0_s.s_wall; e.relations_s.s_wall;
-            e.follow_s.s_wall; e.la_s.s_wall; e.slr_s.s_wall;
-            e.nqlalr_s.s_wall; e.propagation_s.s_wall; e.lr1_s.s_wall;
-            e.tables_s.s_wall; e.slr_tables_s.s_wall;
-            e.nqlalr_tables_s.s_wall; e.classification_s.s_wall;
-            e.classification_lr1_s.s_wall;
-          ]
-      in
-      if (not force) && wall < Store.small_threshold then
-        Store.skip_small st
-      else
-        Store.save st
-        {
-          Store.b_grammar = e.grammar;
-          b_analysis = e.analysis_s.s_value;
-          b_lr0 = e.lr0_s.s_value;
-          b_relations = e.relations_s.s_value;
-          b_follow = e.follow_s.s_value;
-          b_la = e.la_s.s_value;
-          b_slr = e.slr_s.s_value;
-          b_nqlalr = e.nqlalr_s.s_value;
-          b_propagation = e.propagation_s.s_value;
-          b_lr1 = e.lr1_s.s_value;
-          b_tables = e.tables_s.s_value;
-          b_slr_tables = e.slr_tables_s.s_value;
-          b_nqlalr_tables = e.nqlalr_tables_s.s_value;
-          b_classification = e.classification_s.s_value;
-          b_classification_lr1 = e.classification_lr1_s.s_value;
-        }
-
 (* ------------------------------------------------------------------ *)
 (* The failure boundary                                               *)
 (* ------------------------------------------------------------------ *)
@@ -376,6 +328,45 @@ let find_stage e name =
   | None -> raise Not_found
 
 let total_wall e = List.fold_left (fun acc s -> acc +. s.wall) 0. (stats e)
+
+let persist ?(force = false) e =
+  match e.store_opt with
+  | None -> ()
+  | Some st ->
+      (* Whatever is forced — including the completed prefix of a run
+         the budget interrupted — is worth keeping for the next
+         process. Seeded slots round-trip unchanged.
+
+         Exceptions: a run that missed no slot computed nothing new, so
+         there is nothing to write or decline. A grammar whose whole
+         compute took under [Store.small_threshold] is cheaper to
+         recompute than to load (BENCH_pr4: warm-cache 'json' ran at
+         0.75x of recompute), so persisting it would only slow the next
+         run down. [~force] overrides both, for tests and deliberate
+         cache warming. *)
+      let missed = List.exists (fun s -> s.misses > 0) (stats e) in
+      if (not force) && not missed then ()
+      else if (not force) && total_wall e < Store.small_threshold then
+        Store.skip_small st
+      else
+        Store.save st
+        {
+          Store.b_grammar = e.grammar;
+          b_analysis = e.analysis_s.s_value;
+          b_lr0 = e.lr0_s.s_value;
+          b_relations = e.relations_s.s_value;
+          b_follow = e.follow_s.s_value;
+          b_la = e.la_s.s_value;
+          b_slr = e.slr_s.s_value;
+          b_nqlalr = e.nqlalr_s.s_value;
+          b_propagation = e.propagation_s.s_value;
+          b_lr1 = e.lr1_s.s_value;
+          b_tables = e.tables_s.s_value;
+          b_slr_tables = e.slr_tables_s.s_value;
+          b_nqlalr_tables = e.nqlalr_tables_s.s_value;
+          b_classification = e.classification_s.s_value;
+          b_classification_lr1 = e.classification_lr1_s.s_value;
+        }
 
 let pp_stats ppf e =
   let forced = List.filter (fun s -> s.forced) (stats e) in

@@ -94,12 +94,13 @@ val persist : ?force:bool -> t -> unit
     or a verdict exit — so the completed prefix of an interrupted
     pipeline still warms the next process. Never raises.
 
-    Grammars whose entire computation took less than
-    {!Lalr_store.Store.small_threshold} of wall time are {e not}
-    persisted (counted as [skipped_small] in the store's stats):
-    rehydrating them costs more than recomputing. [~force] (default
-    [false]) persists unconditionally — for tests and deliberate cache
-    warming. *)
+    A run that missed no slot (a pure store hit) computed nothing, so
+    it neither writes nor counts a skip. Grammars whose entire
+    computation took less than {!Lalr_store.Store.small_threshold} of
+    wall time are {e not} persisted (counted as [skipped_small] in the
+    store's stats): rehydrating them costs more than recomputing.
+    [~force] (default [false]) persists unconditionally — for tests and
+    deliberate cache warming. *)
 
 val peek_lr0_states : t -> int option
 (** The LR(0) state count if that slot is forced, without forcing it

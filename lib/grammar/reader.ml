@@ -60,14 +60,19 @@ let lexer_error lx message =
   raise
     (Error { file = lx.file; line = lx.line; col = lx.pos - lx.bol + 1; message })
 
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+(* The current character, ['\000'] past the end: a caller that must
+   tell a NUL byte from the end asks [at_end]. No option is allocated. *)
+let peek lx =
+  if lx.pos < String.length lx.src then String.unsafe_get lx.src lx.pos
+  else '\000'
+
+let at_end lx = lx.pos >= String.length lx.src
 
 let advance lx =
-  (match peek_char lx with
-  | Some '\n' ->
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.pos + 1
-  | _ -> ());
+  if peek lx = '\n' then begin
+    lx.line <- lx.line + 1;
+    lx.bol <- lx.pos + 1
+  end;
   lx.pos <- lx.pos + 1
 
 let is_ident_start c =
@@ -79,14 +84,14 @@ let is_ident_char c =
 let is_digit c = c >= '0' && c <= '9'
 
 let rec skip_space lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match peek lx with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance lx;
       skip_space lx
-  | Some '/' when lx.pos + 1 < String.length lx.src -> (
+  | '/' when lx.pos + 1 < String.length lx.src -> (
       match lx.src.[lx.pos + 1] with
       | '/' ->
-          while peek_char lx <> None && peek_char lx <> Some '\n' do
+          while (not (at_end lx)) && peek lx <> '\n' do
             advance lx
           done;
           skip_space lx
@@ -94,15 +99,19 @@ let rec skip_space lx =
           advance lx;
           advance lx;
           let rec go () =
-            match peek_char lx with
-            | None -> lexer_error lx "unterminated comment"
-            | Some '*' when lx.pos + 1 < String.length lx.src
-                            && lx.src.[lx.pos + 1] = '/' ->
-                advance lx;
-                advance lx
-            | Some _ ->
-                advance lx;
-                go ()
+            if at_end lx then lexer_error lx "unterminated comment"
+            else if
+              peek lx = '*'
+              && lx.pos + 1 < String.length lx.src
+              && lx.src.[lx.pos + 1] = '/'
+            then begin
+              advance lx;
+              advance lx
+            end
+            else begin
+              advance lx;
+              go ()
+            end
           in
           go ();
           skip_space lx
@@ -116,71 +125,67 @@ let next_token lx =
   skip_space lx;
   let tline = lx.line and tcol = lx.pos - lx.bol + 1 in
   let mk tok = { tok; tline; tcol } in
-  match peek_char lx with
-  | None -> mk EOF
-  | Some ':' ->
-      advance lx;
-      mk COLON
-  | Some ';' ->
-      advance lx;
-      mk SEMI
-  | Some '|' ->
-      advance lx;
-      mk PIPE
-  | Some ('\'' | '"') ->
-      let quote = Option.get (peek_char lx) in
-      advance lx;
-      let buf = Buffer.create 8 in
-      let rec go () =
-        match peek_char lx with
-        | None | Some '\n' -> lexer_error lx "unterminated quoted terminal"
-        | Some c when c = quote ->
+  if at_end lx then mk EOF
+  else
+    match peek lx with
+    | ':' ->
+        advance lx;
+        mk COLON
+    | ';' ->
+        advance lx;
+        mk SEMI
+    | '|' ->
+        advance lx;
+        mk PIPE
+    | ('\'' | '"') as quote ->
+        advance lx;
+        let buf = Buffer.create 8 in
+        let rec go () =
+          match peek lx with
+          | c when at_end lx || c = '\n' ->
+              lexer_error lx "unterminated quoted terminal"
+          | c when c = quote ->
+              advance lx;
+              if Buffer.length buf = 0 then
+                lexer_error lx "empty quoted terminal"
+          | c ->
+              Buffer.add_char buf c;
+              advance lx;
+              go ()
+        in
+        go ();
+        mk (QUOTED (Buffer.contents buf))
+    | '%' -> (
+        advance lx;
+        match peek lx with
+        | '%' ->
             advance lx;
-            if Buffer.length buf = 0 then
-              lexer_error lx "empty quoted terminal"
-        | Some c ->
-            Buffer.add_char buf c;
-            advance lx;
-            go ()
-      in
-      go ();
-      mk (QUOTED (Buffer.contents buf))
-  | Some '%' -> (
-      advance lx;
-      match peek_char lx with
-      | Some '%' ->
-          advance lx;
-          mk SEPARATOR
-      | Some c when is_ident_start c ->
-          let start = lx.pos in
-          while
-            match peek_char lx with
-            | Some c -> is_ident_char c
-            | None -> false
-          do
-            advance lx
-          done;
-          let kw = String.sub lx.src start (lx.pos - start) in
-          mk
-            (match kw with
-            | "token" -> KW_TOKEN
-            | "start" -> KW_START
-            | "left" -> KW_LEFT
-            | "right" -> KW_RIGHT
-            | "nonassoc" -> KW_NONASSOC
-            | "prec" -> KW_PREC
-            | "empty" -> KW_EMPTY
-            | _ -> lexer_error lx (Printf.sprintf "unknown directive %%%s" kw))
-      | _ -> lexer_error lx "stray '%'")
-  | Some c when is_ident_start c || is_digit c ->
-      let start = lx.pos in
-      while
-        match peek_char lx with Some c -> is_ident_char c | None -> false
-      do
-        advance lx
-      done;
-      mk (IDENT (String.sub lx.src start (lx.pos - start)))
-  | Some c -> lexer_error lx (Printf.sprintf "unexpected character %C" c)
+            mk SEPARATOR
+        | c when is_ident_start c ->
+            let start = lx.pos in
+            while is_ident_char (peek lx) do
+              advance lx
+            done;
+            let kw = String.sub lx.src start (lx.pos - start) in
+            mk
+              (match kw with
+              | "token" -> KW_TOKEN
+              | "start" -> KW_START
+              | "left" -> KW_LEFT
+              | "right" -> KW_RIGHT
+              | "nonassoc" -> KW_NONASSOC
+              | "prec" -> KW_PREC
+              | "empty" -> KW_EMPTY
+              | _ ->
+                  lexer_error lx (Printf.sprintf "unknown directive %%%s" kw))
+        | _ -> lexer_error lx "stray '%'")
+    | c when is_ident_start c || is_digit c ->
+        let start = lx.pos in
+        while is_ident_char (peek lx) do
+          advance lx
+        done;
+        mk (IDENT (String.sub lx.src start (lx.pos - start)))
+    | c -> lexer_error lx (Printf.sprintf "unexpected character %C" c)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
@@ -223,8 +228,8 @@ let rec tolerant_next st =
   | t -> t
   | exception Error e ->
       record st e;
-      if st.lx.pos = before && peek_char st.lx <> None then advance st.lx;
-      if peek_char st.lx = None then
+      if st.lx.pos = before && not (at_end st.lx) then advance st.lx;
+      if at_end st.lx then
         { tok = EOF; tline = st.lx.line; tcol = st.lx.pos - st.lx.bol + 1 }
       else tolerant_next st
 

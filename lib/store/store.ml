@@ -36,8 +36,10 @@ type t = {
    verdict refines the [classification] one instead of being assembled
    beside it.
    8: the [slr] slot holds the SLR(1) conflict counts beside its sets,
-   and an SLR(1)-clean verdict's entry holds no [follow] or [la]. *)
-let format_version = 8
+   and an SLR(1)-clean verdict's entry holds no [follow] or [la].
+   9: a verdict claims [not_lr_k] only for a reduced grammar, and
+   Item.table (inside Lr0.t) holds each item's next-symbol code. *)
+let format_version = 9
 
 let magic = "LALRART1"
 

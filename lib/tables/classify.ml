@@ -47,7 +47,9 @@ let assemble ?lalr ~(slr : Tables.conflict_counts) ~nqlalr
     lr1 = lalr1;
     lr1_decided = la.clash <> Tables.Reduce_reduce_only;
     nqlalr1 = nq.clash = Tables.Clean;
-    not_lr_k = Lalr.reads_cyclic r;
+    (* The reads-cycle theorem needs a reduced grammar: an unproductive
+       nullable loop makes a reads cycle in a grammar that is SLR(1). *)
+    not_lr_k = Lalr.reads_cyclic r && Analysis.is_reduced r.r_analysis;
     lr0_states = Lr0.n_states a;
     lr1_states = 0;
     lalr_sr_conflicts = la.n_sr;

@@ -21,8 +21,9 @@ type verdict = {
       (** conflict-free under the NQLALR approximation; [lalr1 &&
           not nqlalr1] exhibits the paper's §7 complaint *)
   not_lr_k : bool;
-      (** a [reads] cycle exists: a reduced grammar is then not LR(k)
-          for any k, but one that is not reduced may still be SLR(1) *)
+      (** a [reads] cycle exists and the grammar is reduced, so it is
+          not LR(k) for any k; a grammar that is not reduced may have
+          a reads cycle and still be SLR(1), and never sets this *)
   lr0_states : int;
   lr1_states : int;  (** [0] unless {!with_lr1} refined the verdict *)
   lalr_sr_conflicts : int;  (** unresolved, under exact LALR(1) sets *)
@@ -49,7 +50,8 @@ val assemble :
     no clash (else a {!Lalr_guard.Budget.broken_invariant}), LALR(1)'s
     counts are SLR(1)'s zeros: LA(q, A→ω) ⊆ FOLLOW(A). [lr0] is the
     automaton's shape ({!Lalr_automaton.Lr0.n_conflict_free_lr0}),
-    [not_lr_k] is {!Lalr_core.Lalr.reads_cyclic}, [lr1] is [lalr1] and
+    [not_lr_k] is {!Lalr_core.Lalr.reads_cyclic} on a reduced grammar
+    (false otherwise: the theorem behind it needs one), [lr1] is [lalr1] and
     [lr1_states] is [0]. *)
 
 val with_lr1 : verdict -> Lalr_baselines.Lr1.t -> verdict

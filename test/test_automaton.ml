@@ -222,6 +222,71 @@ let prop_deterministic =
              && Lr0.transitions a1 s = Lr0.transitions a2 s)
            (List.init (Lr0.n_states a1) Fun.id))
 
+(* The construction's every decision, pinned: each state's kernel and
+   closure in order, both transition row families and the reductions,
+   digested, on every registry grammar and on Scaled at 1x and 5x.
+   Goldens, cached automata and the relations' numbering all rest on
+   them; the literals predate the int-item builder. *)
+let automaton_digest a =
+  let b = Buffer.create 4096 in
+  let ints tag arr =
+    Buffer.add_char b tag;
+    Array.iter (fun i -> Printf.bprintf b "%d," i) arr
+  in
+  for s = 0 to Lr0.n_states a - 1 do
+    let st = Lr0.state a s in
+    ints 'k' st.Lr0.kernel;
+    ints 'c' st.Lr0.items;
+    Buffer.add_char b 't';
+    Lr0.iter_t_transitions a s (fun t q -> Printf.bprintf b "%d>%d," t q);
+    Buffer.add_char b 'n';
+    Lr0.iter_n_transitions a s (fun n q -> Printf.bprintf b "%d>%d," n q);
+    ints 'r' (Array.of_list (Lr0.reductions a s))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_digests =
+  [
+    ("lr0", "ec021ef07e10476e77643bc2b1e7ef66");
+    ("expr", "db8e6dcde90b49174ef2b725d26960a8");
+    ("expr-prec", "566bddac22601168a5392297d254f064");
+    ("expr-ll", "67c8bfd02cfc4dfa61c11bc4e4b059b5");
+    ("assign", "1cfeb22b1a02e114605a5bd10de0a949");
+    ("lr1-not-lalr", "d9527bb366412ad78426962856b62d7d");
+    ("not-lr-k", "81c4d5d854913d9e56b448ea965e43dc");
+    ("dangling-else", "dcb83cd7bb37e27a144418e0fbe36870");
+    ("ambiguous", "b47932dec8af73c5629f0606dd01cb92");
+    ("nqlalr-gap", "176c75003df576b05fab5b2cf1cdcf10");
+    ("lalr2", "9db969bd9ca7a78305aa90e018824c7c");
+    ("right-nullable", "726830651d1d260d1a672f11fe68c524");
+    ("json", "9f38ece75d721ad38c2ac70318fd7940");
+    ("mini-pascal", "068913de1fba6f2772542569941d2278");
+    ("mini-c", "32d68af5cadf228d7853c50045bf3137");
+    ("modula2", "90878ddecf2209fcade9743e0c95e30b");
+    ("ada-subset", "eb9ee8b5d55b1fa69e11333f516b47c4");
+    ("algol60", "8b9a7518be1d057225da06a1a0d4c72a");
+    ("scaled-1x", "02279535a3a8a66596d1c94670d92971");
+    ("scaled-5x", "d6b72ddb0b95d8673ec1050944e0b224");
+  ]
+
+let test_pinned_digests () =
+  let got =
+    List.map
+      (fun (e : Lalr_suite.Registry.entry) ->
+        (e.name, Lr0.build (Lazy.force e.grammar)))
+      Lalr_suite.Registry.all
+    @ List.map
+        (fun (name, units) ->
+          (name, Lr0.build (Lalr_suite.Scaled.grammar ~units ())))
+        [ ("scaled-1x", 18); ("scaled-5x", 90) ]
+  in
+  Alcotest.(check (list string))
+    "pinned grammars" (List.map fst pinned_digests) (List.map fst got);
+  List.iter2
+    (fun (name, want) (_, a) ->
+      Alcotest.(check string) name want (automaton_digest a))
+    pinned_digests got
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -248,6 +313,8 @@ let () =
             test_nt_transitions_dense;
           Alcotest.test_case "LR(0) detection" `Quick test_lr0_detection;
           Alcotest.test_case "size report" `Quick test_size_report;
+          Alcotest.test_case "pinned automaton digests" `Quick
+            test_pinned_digests;
         ] );
       qsuite "lr0-props"
         [

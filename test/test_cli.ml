@@ -147,7 +147,8 @@ let test_classify_lr1_not_lalr () =
    In the first, NQLALR's state quotient merges goto(s_xx, cc) with
    goto(s_zz, cc), so [b] leaks into the reduction xx → x. The second
    is not reduced ([u] derives no sentence), and its reads relation is
-   cyclic. *)
+   cyclic: the reads-cycle theorem needs a reduced grammar, so no "not
+   LR(k)" line contradicts the SLR(1) verdict. *)
 let classify_pinned name src want =
   let g = temp_grammar src in
   let r = run [ "classify"; g ] in
@@ -188,8 +189,7 @@ cc : ;
      LR(0):    false\n\
      SLR(1):   true (0 s/r, 0 r/r conflicts)\n\
      LALR(1):  true (0 s/r, 0 r/r conflicts)\n\
-     NQLALR:   true (0 s/r, 0 r/r conflicts)\n\
-     not LR(k) for any k (reads relation is cyclic)\n"
+     NQLALR:   true (0 s/r, 0 r/r conflicts)\n"
 
 (* ------------------------------------------------------------------ *)
 (* keep-going                                                          *)
@@ -309,6 +309,27 @@ let test_trace_explicit_format () =
         Alcotest.failf "jsonl sink lacks %S:\n%s" needle t)
     [ "{\"ev\":\"begin\",\"name\":\"engine.lr0\"" ]
 
+(* The [(stage, fuel)] attributes of a JSONL trace's [budget.fuel]
+   instants, in order; the trace file is removed. *)
+let fuel_instants out =
+  let t = read_file out in
+  Sys.remove out;
+  let module Json = Lalr_serve.Protocol.Json in
+  let str j k =
+    match Json.member k j with Some (Json.Str v) -> Some v | _ -> None
+  in
+  String.split_on_char '\n' t
+  |> List.filter_map (fun l ->
+         match Json.parse l with
+         | Ok j when str j "name" = Some "budget.fuel" -> (
+             match Json.member "attrs" j with
+             | Some attrs -> (
+                 match (str attrs "stage", Json.member "fuel" attrs) with
+                 | Some stage, Some (Json.Num fuel) -> Some (stage, fuel)
+                 | _ -> Alcotest.failf "budget.fuel lacks stage/fuel: %s" l)
+             | None -> Alcotest.failf "budget.fuel without attrs: %s" l)
+         | _ -> None)
+
 (* The fuel each budgeted stage burned is a [budget.fuel] instant: one
    per stage the run computed, i.e. per row of the --timings table.
    The rows are in slot order and the instants in forcing order, where
@@ -321,8 +342,6 @@ let test_trace_budget_fuel () =
         "--timings"; "--trace"; out ]
   in
   check_exit "budgeted classify" 0 r;
-  let t = read_file out in
-  Sys.remove out;
   let timed =
     String.split_on_char '\n' (snd r)
     |> List.filter_map (fun l ->
@@ -330,23 +349,7 @@ let test_trace_budget_fuel () =
            | stage :: _ when contains l " ms " && stage <> "total" -> Some stage
            | _ -> None)
   in
-  let module Json = Lalr_serve.Protocol.Json in
-  let str j k =
-    match Json.member k j with Some (Json.Str v) -> Some v | _ -> None
-  in
-  let fuel_stages =
-    String.split_on_char '\n' t
-    |> List.filter_map (fun l ->
-           match Json.parse l with
-           | Ok j when str j "name" = Some "budget.fuel" -> (
-               match Json.member "attrs" j with
-               | Some attrs -> (
-                   match (str attrs "stage", Json.member "fuel" attrs) with
-                   | Some stage, Some (Json.Num _) -> Some stage
-                   | _ -> Alcotest.failf "budget.fuel lacks stage/fuel: %s" l)
-               | None -> Alcotest.failf "budget.fuel without attrs: %s" l)
-           | _ -> None)
-  in
+  let fuel_stages = List.map fst (fuel_instants out) in
   Alcotest.(check bool) "timings lists stages" true (List.length timed >= 8);
   Alcotest.(check (list string)) "one budget.fuel instant per timed stage"
     (List.sort compare timed)
@@ -355,6 +358,30 @@ let test_trace_budget_fuel () =
     [ "analysis"; "lr0"; "slr"; "relations"; "follow"; "la"; "nqlalr";
       "classification" ]
     fuel_stages
+
+(* Fuel is the budget's unit of work: a builder or relations walk that
+   skips or adds a burn moves every --budget trip, so the fuel each
+   stage burns on two language grammars is pinned. *)
+let test_fuel_per_stage_pinned () =
+  List.iter
+    (fun (name, code, want) ->
+      let out = temp_path ".jsonl" in
+      let r =
+        run
+          [ "classify"; "suite:" ^ name; "--budget"; "fuel=100000"; "--trace";
+            out ]
+      in
+      check_exit name code r;
+      let fuel = fuel_instants out in
+      List.iter
+        (fun (stage, n) ->
+          Alcotest.(check (option (float 0.))) (name ^ " " ^ stage)
+            (Some (float_of_int n)) (List.assoc_opt stage fuel))
+        want)
+    [
+      ("mini-c", 1, [ ("lr0", 319); ("relations", 7849); ("nqlalr", 1375) ]);
+      ("ada-subset", 0, [ ("lr0", 365); ("relations", 4574); ("nqlalr", 961) ]);
+    ]
 
 let test_stats_document () =
   let r = run [ "stats"; "suite:expr" ] in
@@ -449,6 +476,8 @@ let () =
             test_trace_explicit_format;
           Alcotest.test_case "budget fuel instants" `Quick
             test_trace_budget_fuel;
+          Alcotest.test_case "budget fuel per stage pinned" `Quick
+            test_fuel_per_stage_pinned;
           Alcotest.test_case "stats document" `Quick test_stats_document;
         ] );
       ( "call",

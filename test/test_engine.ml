@@ -187,7 +187,8 @@ let test_default_vs_lr1_random () =
    the short path (the [la] slot unforced), the verdict, and an error
    description, if any: the short path is for SLR(1)-clean grammars
    only, and [not_lr_k] is the reads-cycle diagnostic of the solved
-   sets. *)
+   sets on a reduced grammar. SLR(1) and reduced exclude a reads
+   cycle, so no short-path verdict claims [not_lr_k]. *)
 let short_vs_full g =
   let e = Engine.create g in
   let v = Engine.classification e in
@@ -202,6 +203,7 @@ let short_vs_full g =
     List.exists
       (function Lalr.Reads_cycle _ -> true | Lalr.Includes_cycle _ -> false)
       (Lalr.diagnostics (Lalr.compute a))
+    && Lalr_grammar.Analysis.is_reduced (Engine.analysis e)
   in
   let err =
     if v <> full then Some "default verdict differs from the full one"
@@ -211,6 +213,8 @@ let short_vs_full g =
          else "forced the LALR(1) sets on an SLR(1)-clean grammar")
     else if v.not_lr_k <> reads_cycle then
       Some "not_lr_k differs from the reads-cycle diagnostic"
+    else if short && v.not_lr_k then
+      Some "an SLR(1) verdict claims not LR(k)"
     else None
   in
   (short, v, err)
@@ -220,7 +224,8 @@ let short_vs_full g =
    goto(s_zz, cc), so [b] leaks into the reduction xx → x of the state
    {xx → x·, zz → x·b}: SLR(1) does not imply NQLALR(1). The second is
    not reduced ([u] derives no sentence) and its reads relation is
-   cyclic, so "LALR(1) ⇒ no reads cycle" fails without reduction. *)
+   cyclic, so "LALR(1) ⇒ no reads cycle" fails without reduction, and
+   its verdict makes no not-LR(k) claim. *)
 let slr_not_nqlalr_src =
   {|
 %token a b c x z
@@ -258,7 +263,9 @@ let test_short_vs_full_fixtures () =
         fun v ->
           v.lalr1 && (not v.nqlalr1) && v.nq_sr_conflicts = 1
           && v.nq_rr_conflicts = 0 && not v.not_lr_k );
-      ("slr-reads-cycle", slr_reads_cycle_src, fun v -> v.slr1 && v.not_lr_k);
+      ( "slr-reads-cycle",
+        slr_reads_cycle_src,
+        fun v -> v.slr1 && not v.not_lr_k );
     ]
 
 (* Randgen's start symbol is [n0]: the splice leaves each grammar's

@@ -254,6 +254,31 @@ let test_skip_small () =
   Alcotest.(check bool) "forced persist writes" true (Sys.file_exists path);
   Alcotest.(check int) "write counted" 1 (Store.stats st).Store.writes
 
+let test_pure_hit_is_not_skipped () =
+  (* A warm run that answers from the store computes nothing: its
+     persist neither writes nor counts a declined small write. *)
+  let dir = fresh_dir () in
+  let cold = Engine.create ~store:(Store.create ~dir) (expr ()) in
+  ignore (Engine.classification cold);
+  Engine.persist ~force:true cold;
+  let st = Store.create ~dir in
+  let e = Engine.create ~store:st (expr ()) in
+  ignore (Engine.classification e);
+  Alcotest.(check int) "no slot missed" 0
+    (List.fold_left (fun n s -> n + s.Engine.misses) 0 (Engine.stats e));
+  Engine.persist e;
+  let s = Store.stats st in
+  Alcotest.(check int) "warm hit" 1 s.Store.hits;
+  Alcotest.(check int) "no skip counted" 0 s.Store.skipped_small;
+  Alcotest.(check int) "no write" 0 s.Store.writes;
+  let rendered = Format.asprintf "%a" Store.pp_stats st in
+  let sub = "0 skipped-small" in
+  let n = String.length rendered and m = String.length sub in
+  let rec has i =
+    i + m <= n && (String.sub rendered i m = sub || has (i + 1))
+  in
+  Alcotest.(check bool) ("pp_stats: " ^ rendered) true (has 0)
+
 let test_distinct_sources_distinct_entries () =
   (* Same structure read from two source names: diagnostics cite
      different positions, so they must not share an entry. *)
@@ -409,6 +434,8 @@ let () =
           Alcotest.test_case "store never fails" `Quick test_store_never_fails;
           Alcotest.test_case "sub-threshold persist is skipped" `Quick
             test_skip_small;
+          Alcotest.test_case "a pure store hit is not a skipped write" `Quick
+            test_pure_hit_is_not_skipped;
           Alcotest.test_case "distinct sources, distinct entries" `Quick
             test_distinct_sources_distinct_entries;
         ] );
