@@ -16,43 +16,24 @@ type 'a slot = {
   s_span : string;  (* "engine.<name>", precomputed so the disarmed
                        tracing probe allocates nothing *)
   mutable s_value : 'a option;
+  mutable s_stored : 'a option;  (* a store copy this run has not read *)
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_wall : float;
 }
 
-let slot name =
+let slot ?stored ?value name =
   (* Every slot is a fault-injection site; creating one for a name the
      registry does not know would silently un-test that slot. *)
   assert (Faultpoint.find_site name <> None);
-  { s_name = name; s_span = "engine." ^ name; s_value = None; s_hits = 0;
-    s_misses = 0; s_wall = 0. }
-
-let seeded name v =
-  assert (Faultpoint.find_site name <> None);
-  { s_name = name; s_span = "engine." ^ name; s_value = Some v; s_hits = 0;
-    s_misses = 0; s_wall = 0. }
-
-(* Force-once: the first access computes (a miss, timed); every later
-   access is a hit. Dependencies are forced by the accessors BEFORE
-   entering [force], so s_wall is exclusive per stage. *)
-let force slot compute =
-  match slot.s_value with
-  | Some v ->
-      slot.s_hits <- slot.s_hits + 1;
-      v
-  | None ->
-      slot.s_misses <- slot.s_misses + 1;
-      let t0 = Unix.gettimeofday () in
-      let v = compute () in
-      slot.s_wall <- slot.s_wall +. (Unix.gettimeofday () -. t0);
-      slot.s_value <- Some v;
-      v
+  { s_name = name; s_span = "engine." ^ name; s_value = value;
+    s_stored = stored; s_hits = 0; s_misses = 0; s_wall = 0. }
 
 type t = {
   grammar : Grammar.t;
   budget_opt : Budget.t option;
-  store_opt : Store.t option;
+  store_opt : (Store.t * string) option;  (* the store and the key *)
+  mutable unread : Store.entry option;  (* its artifact frame, unread *)
   analysis_s : Analysis.t slot;
   lr0_s : Lr0.t slot;
   relations_s : Lalr.relations slot;
@@ -70,77 +51,139 @@ type t = {
 }
 
 let create ?budget ?analysis ?store grammar =
-  (* A warm store seeds slots at creation: a seeded slot reports as
-     forced with zero misses, exactly like the ?analysis seed, so the
-     force-once counters still prove nothing is recomputed. All the
-     bundle's artifacts were marshalled together, so their mutual
-     aliasing (relations share the automaton arrays, la shares the
-     relation arrays) is intact after rehydration. *)
-  let bundle =
-    match store with None -> None | Some st -> Store.load st grammar
+  (* A warm store seeds the two verdict slots from the entry's verdict
+     frame; the artifact frame stays on disk until a run forces some
+     other slot. A slot holding a store copy is still unforced: the
+     first read takes the copy, as a hit with zero misses, so the
+     force-once counters still prove nothing is recomputed, and the
+     stage lists name only what the run read. The key is built here,
+     once, and reused by [persist]. *)
+  let store_opt, entry =
+    match store with
+    | None -> (None, None)
+    | Some st ->
+        let key = Store.key grammar in
+        (Some (st, key), Store.probe st ~key)
   in
-  let from_store name get =
-    match Option.bind bundle get with
-    | Some v -> seeded name v
-    | None -> slot name
+  let verdict get =
+    Option.bind entry (fun en -> get (Store.verdicts en))
   in
   {
     grammar;
     budget_opt = budget;
-    store_opt = store;
-    analysis_s =
-      (match analysis with
-      | Some an -> seeded "analysis" an
-      | None -> from_store "analysis" (fun b -> b.Store.b_analysis));
-    lr0_s = from_store "lr0" (fun b -> b.Store.b_lr0);
-    relations_s = from_store "relations" (fun b -> b.Store.b_relations);
-    follow_s = from_store "follow" (fun b -> b.Store.b_follow);
-    la_s = from_store "la" (fun b -> b.Store.b_la);
-    slr_s = from_store "slr" (fun b -> b.Store.b_slr);
-    nqlalr_s = from_store "nqlalr" (fun b -> b.Store.b_nqlalr);
-    propagation_s = from_store "propagation" (fun b -> b.Store.b_propagation);
-    lr1_s = from_store "lr1" (fun b -> b.Store.b_lr1);
-    tables_s = from_store "tables" (fun b -> b.Store.b_tables);
-    slr_tables_s = from_store "slr_tables" (fun b -> b.Store.b_slr_tables);
-    nqlalr_tables_s =
-      from_store "nqlalr_tables" (fun b -> b.Store.b_nqlalr_tables);
+    store_opt;
+    unread = entry;
+    analysis_s = slot ?value:analysis "analysis";
+    lr0_s = slot "lr0";
+    relations_s = slot "relations";
+    follow_s = slot "follow";
+    la_s = slot "la";
+    slr_s = slot "slr";
+    nqlalr_s = slot "nqlalr";
+    propagation_s = slot "propagation";
+    lr1_s = slot "lr1";
+    tables_s = slot "tables";
+    slr_tables_s = slot "slr_tables";
+    nqlalr_tables_s = slot "nqlalr_tables";
     classification_s =
-      from_store "classification" (fun b -> b.Store.b_classification);
+      slot ?stored:(verdict (fun v -> v.Store.v_classification))
+        "classification";
     classification_lr1_s =
-      from_store "classification+lr1" (fun b -> b.Store.b_classification_lr1);
+      slot ?stored:(verdict (fun v -> v.Store.v_classification_lr1))
+        "classification+lr1";
   }
 
-(* Each slot miss runs inside a span named after the slot; the fuel a
-   budgeted stage consumed is recorded as a [budget.fuel] instant on
-   the way out. Both probes cost one DLS read when tracing is
-   disarmed. *)
+(* The first force of a slot with no copy of its own reads the entry's
+   artifact frame, once, and seeds every empty slot from it. All the
+   artifacts were marshalled together, so their mutual aliasing
+   (relations share the automaton arrays, la shares the relation
+   arrays) is intact after rehydration. A caller's [?analysis] seed
+   keeps its slot. *)
+let read_artifacts e =
+  match e.unread with
+  | None -> ()
+  | Some entry -> (
+      e.unread <- None;
+      match Store.artifacts entry with
+      | None -> ()
+      | Some a ->
+          let seed s v = if Option.is_none s.s_value then s.s_stored <- v in
+          seed e.analysis_s a.Store.a_analysis;
+          seed e.lr0_s a.Store.a_lr0;
+          seed e.relations_s a.Store.a_relations;
+          seed e.follow_s a.Store.a_follow;
+          seed e.la_s a.Store.a_la;
+          seed e.slr_s a.Store.a_slr;
+          seed e.nqlalr_s a.Store.a_nqlalr;
+          seed e.propagation_s a.Store.a_propagation;
+          seed e.lr1_s a.Store.a_lr1;
+          seed e.tables_s a.Store.a_tables;
+          seed e.slr_tables_s a.Store.a_slr_tables;
+          seed e.nqlalr_tables_s a.Store.a_nqlalr_tables)
+
+(* What a slot holds without computing: its value, or a store copy. *)
+let held s = match s.s_value with Some _ as v -> v | None -> s.s_stored
+
+(* A read of what the slot holds, reading the artifact frame first if
+   it holds nothing: a hit, or [None]. *)
+let take e s =
+  if Option.is_none (held s) then read_artifacts e;
+  match held s with
+  | Some _ as v ->
+      s.s_value <- v;
+      s.s_stored <- None;
+      s.s_hits <- s.s_hits + 1;
+      v
+  | None -> None
+
+(* Force-once: the first access computes (a miss, timed) unless the
+   store holds a copy; every later access is a hit. Dependencies are
+   forced by the accessors BEFORE entering [forceb], so s_wall is
+   exclusive per stage. Each slot miss runs inside a span named after
+   the slot; the fuel a budgeted stage consumed is recorded as a
+   [budget.fuel] instant on the way out. Both probes cost one DLS read
+   when tracing is disarmed. *)
 let forceb e slot compute =
-  force slot (fun () ->
-      Faultpoint.check slot.s_name;
-      Trace.with_span slot.s_span (fun () ->
-          match e.budget_opt with
-          | None -> compute ()
-          | Some b ->
-              let fuel0 = Budget.consumed b Budget.Fuel in
-              let record () =
-                Trace.instant
-                  ~attrs:(fun () ->
-                    [ ("stage", Trace.Str slot.s_name);
-                      ("fuel",
-                       Trace.Float (Budget.consumed b Budget.Fuel -. fuel0)) ])
-                  "budget.fuel"
-              in
-              Fun.protect
-                ~finally:record
-                (fun () -> Budget.with_budget b ~stage:slot.s_name compute)))
+  match take e slot with
+  | Some v -> v
+  | None ->
+      slot.s_misses <- slot.s_misses + 1;
+      let t0 = Unix.gettimeofday () in
+      let v =
+        Faultpoint.check slot.s_name;
+        Trace.with_span slot.s_span (fun () ->
+            match e.budget_opt with
+            | None -> compute ()
+            | Some b ->
+                let fuel0 = Budget.consumed b Budget.Fuel in
+                let record () =
+                  Trace.instant
+                    ~attrs:(fun () ->
+                      [ ("stage", Trace.Str slot.s_name);
+                        ("fuel",
+                         Trace.Float (Budget.consumed b Budget.Fuel -. fuel0)) ])
+                    "budget.fuel"
+                in
+                Fun.protect
+                  ~finally:record
+                  (fun () -> Budget.with_budget b ~stage:slot.s_name compute))
+      in
+      slot.s_wall <- slot.s_wall +. (Unix.gettimeofday () -. t0);
+      slot.s_value <- Some v;
+      v
 
 let grammar e = e.grammar
 let budget e = e.budget_opt
-let store e = e.store_opt
+let store e = Option.map fst e.store_opt
 
-(* Non-forcing: used by batch to report the peak LR(0) state count
-   without perturbing the force-once hit/miss counters. *)
-let peek_lr0_states e = Option.map Lr0.n_states e.lr0_s.s_value
+(* Non-forcing: used by batch and serve to report the peak LR(0) state
+   count without perturbing the force-once hit/miss counters. A
+   verdict read from the store left [lr0] unforced, and carries the
+   count itself. *)
+let peek_lr0_states e =
+  match (e.lr0_s.s_value, e.classification_s.s_value) with
+  | Some a, _ -> Some (Lr0.n_states a)
+  | None, v -> Option.map (fun (v : Classify.verdict) -> v.lr0_states) v
 
 (* ------------------------------------------------------------------ *)
 (* The failure boundary                                               *)
@@ -260,10 +303,8 @@ let lr1_limit = 250
 
 let classification ?(with_lr1 = false) e =
   let v =
-    match e.classification_s.s_value with
-    | Some v ->
-        (* Forced, or seeded from a store entry that may hold no LA sets. *)
-        force e.classification_s (fun () -> v)
+    match take e e.classification_s with
+    | Some v -> v (* forced, or from a store entry that may hold no LA sets *)
     | None ->
         let sl = snd (slr_counted e) in
         let lalr_v = if sl.clash = Tables.Clean then None else Some (lalr e) in
@@ -274,13 +315,17 @@ let classification ?(with_lr1 = false) e =
   in
   (* The LALR(1) clashes decide LR(1)-ness unless they are all
      reduce/reduce; only then is the canonical collection worth its
-     cost, and only on grammars small enough to afford it. *)
+     cost, and only on grammars small enough to afford it. Like the
+     first verdict, a refined one from the store needs no input. *)
   if
     with_lr1
     || (not v.lr1_decided) && Grammar.n_productions e.grammar <= lr1_limit
   then
-    let c = lr1 e in
-    forceb e e.classification_lr1_s (fun () -> Classify.with_lr1 v c)
+    match take e e.classification_lr1_s with
+    | Some v -> v
+    | None ->
+        let c = lr1 e in
+        forceb e e.classification_lr1_s (fun () -> Classify.with_lr1 v c)
   else v
 
 (* ------------------------------------------------------------------ *)
@@ -332,10 +377,10 @@ let total_wall e = List.fold_left (fun acc s -> acc +. s.wall) 0. (stats e)
 let persist ?(force = false) e =
   match e.store_opt with
   | None -> ()
-  | Some st ->
+  | Some (st, key) ->
       (* Whatever is forced — including the completed prefix of a run
          the budget interrupted — is worth keeping for the next
-         process. Seeded slots round-trip unchanged.
+         process, and so is every store copy this run did not read.
 
          Exceptions: a run that missed no slot computed nothing new, so
          there is nothing to write or decline. A grammar whose whole
@@ -348,25 +393,31 @@ let persist ?(force = false) e =
       if (not force) && not missed then ()
       else if (not force) && total_wall e < Store.small_threshold then
         Store.skip_small st
-      else
-        Store.save st
-        {
-          Store.b_grammar = e.grammar;
-          b_analysis = e.analysis_s.s_value;
-          b_lr0 = e.lr0_s.s_value;
-          b_relations = e.relations_s.s_value;
-          b_follow = e.follow_s.s_value;
-          b_la = e.la_s.s_value;
-          b_slr = e.slr_s.s_value;
-          b_nqlalr = e.nqlalr_s.s_value;
-          b_propagation = e.propagation_s.s_value;
-          b_lr1 = e.lr1_s.s_value;
-          b_tables = e.tables_s.s_value;
-          b_slr_tables = e.slr_tables_s.s_value;
-          b_nqlalr_tables = e.nqlalr_tables_s.s_value;
-          b_classification = e.classification_s.s_value;
-          b_classification_lr1 = e.classification_lr1_s.s_value;
-        }
+      else begin
+        (* A miss has already read the artifact frame; a forced write
+           of a pure hit must not drop it. *)
+        read_artifacts e;
+        Store.save st ~key
+          {
+            Store.v_classification = held e.classification_s;
+            v_classification_lr1 = held e.classification_lr1_s;
+          }
+          {
+            Store.a_grammar = e.grammar;
+            a_analysis = held e.analysis_s;
+            a_lr0 = held e.lr0_s;
+            a_relations = held e.relations_s;
+            a_follow = held e.follow_s;
+            a_la = held e.la_s;
+            a_slr = held e.slr_s;
+            a_nqlalr = held e.nqlalr_s;
+            a_propagation = held e.propagation_s;
+            a_lr1 = held e.lr1_s;
+            a_tables = held e.tables_s;
+            a_slr_tables = held e.slr_tables_s;
+            a_nqlalr_tables = held e.nqlalr_tables_s;
+          }
+      end
 
 let pp_stats ppf e =
   let forced = List.filter (fun s -> s.forced) (stats e) in

@@ -76,20 +76,28 @@ val create :
     no-ops.
 
     [?store] consults the persistent artifact store
-    ({!Lalr_store.Store}): a verified cache entry for [grammar] seeds
-    the matching slots, which then report as forced with zero misses
-    (a hit in the store's counters). A missing, stale, or corrupt
-    entry is an ordinary miss — slots start empty and {!persist}
-    rewrites the entry. A [?analysis] seed takes precedence over the
-    store's copy for the analysis slot. *)
+    ({!Lalr_store.Store}). The engine builds the grammar's
+    {!Lalr_store.Store.key} once, here, and probes the entry: a hit
+    reads only its verdict frame, which holds the [classification]
+    and [classification+lr1] slots. The first force of any other slot
+    with no value reads the entry's artifact frame, once, and seeds
+    every empty slot from it. A slot answered from the store reports
+    as forced with zero misses when the run first reads it, and not
+    before, so {!stats} and {!run_partial} name only the slots the run
+    read. A missing, stale, or corrupt entry is an ordinary miss —
+    slots start empty and {!persist} rewrites the entry; damage found
+    in the artifact frame quarantines the entry, and the slots it
+    would have seeded are computed. A [?analysis] seed takes
+    precedence over the store's copy for the analysis slot. *)
 
 val grammar : t -> Grammar.t
 val budget : t -> Lalr_guard.Budget.t option
 val store : t -> Lalr_store.Store.t option
 
 val persist : ?force:bool -> t -> unit
-(** Writes every currently forced slot to the store as one bundle
-    (atomically replacing the grammar's entry); a no-op without
+(** Writes every forced slot, and every store copy the run did not
+    read, to the store as one entry (atomically replacing the
+    grammar's entry) under the key {!create} built; a no-op without
     [?store]. Callers run it at exit — including after a budget trip
     or a verdict exit — so the completed prefix of an interrupted
     pipeline still warms the next process. Never raises.
@@ -103,9 +111,10 @@ val persist : ?force:bool -> t -> unit
     deliberate cache warming. *)
 
 val peek_lr0_states : t -> int option
-(** The LR(0) state count if that slot is forced, without forcing it
-    (a probe for reporting layers; does not perturb hit/miss
-    counters). *)
+(** The LR(0) state count if that slot is forced, or else the one a
+    forced [classification] verdict carries (a store hit reads no
+    automaton), without forcing anything (a probe for reporting
+    layers; does not perturb hit/miss counters). *)
 
 (** {2 The failure boundary}
 
@@ -221,17 +230,18 @@ val lr1_limit : int
 
 val classification : ?with_lr1:bool -> t -> Lalr_tables.Classify.verdict
 (** The full hierarchy verdict. It always forces the [classification]
-    slot first, returned as it is if seeded from the store. Otherwise
+    slot first, returned as it is if the store holds it. Otherwise
     that is {!Lalr_tables.Classify.assemble} over the [slr] slot's
     SLR(1) count, the [nqlalr] and [relations] slots and, only if SLR(1)
     has a clash, the [la] slot: LA ⊆ FOLLOW, so an SLR(1)-clean grammar
     is LALR(1) without the [follow] and [la] slots. No table slot is
     forced. Its [lr1] is exact when [lr1_decided]. Otherwise (on a
     grammar of at most {!lr1_limit} productions), or under
-    [~with_lr1:true] (default [false]), it then forces {!lr1} and
-    returns the [classification+lr1] slot,
-    {!Lalr_tables.Classify.with_lr1} of the first, which differs only
-    in [lr1] and [lr1_states]. *)
+    [~with_lr1:true] (default [false]), it returns the
+    [classification+lr1] slot: the store's copy if it holds one, or
+    else {!Lalr_tables.Classify.with_lr1} of the first after forcing
+    {!lr1}, which differs only in [lr1] and [lr1_states]. A store hit
+    therefore reads the verdict frame and nothing else. *)
 
 (** {2 Observability}
 

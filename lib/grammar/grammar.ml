@@ -332,46 +332,44 @@ let equal_structure a b =
    symbol tables, productions, and both precedence channels. [name] and
    source locations are deliberately excluded so the same grammar text
    read twice — or rehydrated from the artifact store — digests
-   identically. The leading tag versions the serialization itself. *)
-let digest g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "lalr-grammar-digest-v1";
-  let str s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\x00'
-  in
-  let int n =
-    Buffer.add_string buf (string_of_int n);
-    Buffer.add_char buf ';'
+   identically. The encoding is binary and injective: every int is 4
+   bytes (ids, lengths, levels and lines all stay below 2^31), every
+   string and array carries its length, a symbol is its packed code,
+   and a precedence has a tag byte. The leading tag versions it. *)
+let add_int buf n = Buffer.add_int32_le buf (Int32.of_int n)
+
+let add_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_string buf s
+
+let add_structure buf g =
+  Buffer.add_string buf "lalr-grammar-digest-v2";
+  let names a =
+    add_int buf (Array.length a);
+    Array.iter (add_string buf) a
   in
   let prec = function
     | None -> Buffer.add_char buf '.'
     | Some (level, assoc) ->
-        int level;
         Buffer.add_char buf
-          (match assoc with Left -> 'l' | Right -> 'r' | Nonassoc -> 'n')
+          (match assoc with Left -> 'l' | Right -> 'r' | Nonassoc -> 'n');
+        add_int buf level
   in
-  Array.iter str g.terminal_names;
-  Buffer.add_char buf '\x01';
-  Array.iter str g.nonterminal_names;
-  Buffer.add_char buf '\x01';
-  int g.start;
+  names g.terminal_names;
+  names g.nonterminal_names;
+  add_int buf g.start;
+  add_int buf (Array.length g.productions);
   Array.iter
     (fun (p : production) ->
-      Buffer.add_char buf '\x02';
-      int p.lhs;
-      Array.iter
-        (fun s ->
-          match s with
-          | Symbol.T t ->
-              Buffer.add_char buf 't';
-              int t
-          | Symbol.N n ->
-              Buffer.add_char buf 'n';
-              int n)
-        p.rhs;
+      add_int buf p.lhs;
+      add_int buf (Array.length p.rhs);
+      Array.iter (fun x -> add_int buf (Symbol.pack x)) p.rhs;
       prec p.prec)
     g.productions;
-  Buffer.add_char buf '\x01';
-  Array.iter prec g.terminal_prec;
+  add_int buf (Array.length g.terminal_prec);
+  Array.iter prec g.terminal_prec
+
+let digest g =
+  let buf = Buffer.create 1024 in
+  add_structure buf g;
   Digest.to_hex (Digest.string (Buffer.contents buf))

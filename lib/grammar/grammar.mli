@@ -147,3 +147,10 @@ val digest : t -> string
     [equal_structure a b] implies [digest a = digest b]. Caches keyed
     by this digest (the store, the counterexample yield memo) therefore
     survive rehydration, which physical-equality keys do not. *)
+
+val add_structure : Buffer.t -> t -> unit
+(** Appends the bytes {!digest} hashes: a binary encoding of the
+    structure that is injective and delimits itself (4-byte ints,
+    length-prefixed strings and arrays, packed symbols, tagged
+    precedences), so a caller may append more fields to the same buffer
+    and hash it once ({!Lalr_store.Store.key} does). *)

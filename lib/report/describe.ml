@@ -62,6 +62,7 @@ let automaton ?lookaheads ppf (a : Lr0.t) =
 
 let relations ppf t =
   Format.fprintf ppf "%a" Lalr.pp t;
+  let reduced = Analysis.is_reduced (Lalr.analysis t) in
   let st = Lalr.stats t in
   Format.fprintf ppf
     "@.%d nonterminal transitions; |DR| = %d, reads edges = %d, includes \
@@ -72,10 +73,15 @@ let relations ppf t =
   List.iter
     (fun d ->
       match d with
-      | Lalr.Reads_cycle members ->
+      | Lalr.Reads_cycle members when reduced ->
           Format.fprintf ppf
             "reads cycle through %d transitions: the grammar is not LR(k) \
              for any k@."
+            (List.length members)
+      | Lalr.Reads_cycle members ->
+          Format.fprintf ppf
+            "reads cycle through %d transitions: the grammar is not \
+             reduced, so this does not show that it is not LR(k)@."
             (List.length members)
       | Lalr.Includes_cycle members ->
           Format.fprintf ppf

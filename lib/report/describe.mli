@@ -16,7 +16,9 @@ val automaton :
 
 val relations : Format.formatter -> Lalr_core.Lalr.t -> unit
 (** The DR/reads/includes/Follow tables and the look-ahead sets, plus
-    any cycle diagnostics. *)
+    any cycle diagnostics. A reads cycle shows that the grammar is not
+    LR(k) for any k only when the grammar is reduced; otherwise the line
+    says that this premise fails. *)
 
 val conflicts : Format.formatter -> Lalr_tables.Tables.t -> unit
 (** Conflict report with per-state item context. Prints a "no

@@ -237,6 +237,18 @@ let corrupt_line line =
     Bytes.to_string b
   end
 
+(* The store's own counters, read at scrape time like the gauges
+   below, so no probe joins the request path. *)
+let store_samples (s : Store.stats) =
+  List.map
+    (fun (name, n) ->
+      { Metrics.name = "lalr_store_" ^ name ^ "_total"; labels = [];
+        value = Metrics.Counter n })
+    [ ("hits", s.hits); ("misses", s.misses); ("corrupt", s.corrupt);
+      ("writes", s.writes); ("errors", s.errors);
+      ("skipped_small", s.skipped_small);
+      ("artifact_reads", s.artifact_reads) ]
+
 (* Answer a metrics scrape inline (never queued, like health):
    refresh the point-in-time gauges, then merge every shard into one
    deterministic exposition. Merging at scrape time is the design
@@ -254,7 +266,9 @@ let scrape srv =
     (if h.Protocol.h_ready then 1. else 0.);
   Metrics.set_gauge srv.mshard "lalr_serve_workers"
     (float_of_int (List.length h.Protocol.h_workers));
-  Metrics.to_prometheus (Metrics.snapshot srv.registry)
+  Metrics.to_prometheus
+    (Metrics.snapshot srv.registry
+    @ Option.fold ~none:[] ~some:store_samples h.Protocol.h_store)
 
 let handle_line srv conn line =
   let decoded =

@@ -191,6 +191,28 @@ cc : ;
      LALR(1):  true (0 s/r, 0 r/r conflicts)\n\
      NQLALR:   true (0 s/r, 0 r/r conflicts)\n"
 
+(* [report] carries the same premise: the reads cycle of a grammar
+   that is not reduced is named, with no not-LR(k) claim, while the
+   suite's reduced not-lr-k grammar keeps its line. *)
+let test_report_reads_cycle_premise () =
+  let g =
+    temp_grammar "%token a\n%start s\n%%\ns : a | u ;\nu : cc u ;\ncc : ;\n"
+  in
+  let r = run [ "report"; g ] in
+  Sys.remove g;
+  check_exit "report, not reduced" 0 r;
+  check_contains "report, not reduced"
+    "reads cycle through 1 transitions: the grammar is not reduced, so \
+     this does not show that it is not LR(k)\n"
+    r;
+  if contains (snd r) "not LR(k) for any k" then
+    Alcotest.failf "report claims not-LR(k) on a grammar that is not reduced:\n%s"
+      (snd r);
+  let r = run [ "report"; "suite:not-lr-k" ] in
+  check_contains "report suite:not-lr-k"
+    "reads cycle through 1 transitions: the grammar is not LR(k) for any k\n"
+    r
+
 (* ------------------------------------------------------------------ *)
 (* keep-going                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -455,6 +477,8 @@ let () =
             test_classify_lr1_not_lalr;
           Alcotest.test_case "SLR(1), not NQLALR(1)" `Quick
             test_classify_slr_not_nqlalr;
+          Alcotest.test_case "report names a reads cycle's premise" `Quick
+            test_report_reads_cycle_premise;
           Alcotest.test_case "SLR(1) with a reads cycle" `Quick
             test_classify_slr_reads_cycle;
         ] );

@@ -290,9 +290,10 @@ let test_wall_clock_budget () =
 
 let test_store_random_damage () =
   (* Write an entry, damage it at random (truncation, bit-flip,
-     stamp/version skew), and assert the contract: the next load is a
-     counted quarantine-and-miss — never a crash, never a served stale
-     answer — and the recompute repopulates the entry. *)
+     stamp/version skew), and assert the contract: the next engine run
+     over it counts one quarantine, in whichever frame holds the
+     damage — never a crash, never a served stale answer — and the
+     recompute repopulates the entry. *)
   let st = rng 7 in
   let dir =
     Filename.concat
@@ -337,28 +338,65 @@ let test_store_random_damage () =
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_string oc damaged);
         let before = Store.stats store in
-        (match Store.load store g with
-        | Some _ ->
-            Alcotest.failf "damaged entry served (damage left %d of %d bytes)"
-              (String.length damaged) n
-        | None -> ());
-        let after = Store.stats store in
-        if after.Store.corrupt <> before.Store.corrupt + 1 then
-          Alcotest.fail "quarantine not counted";
-        if after.Store.misses <> before.Store.misses + 1 then
-          Alcotest.fail "damaged load not counted as a miss";
-        (* miss-and-recompute: a fresh engine redoes the work cleanly
-           and repopulates the entry *)
+        (* The damaged entry through the engine: every slot
+           [full_pipeline] forces either recomputes or comes from a
+           frame that passed its checks, and the damage is found once,
+           where its frame is read. *)
         let e2 = Engine.create ~store g in
+        let probe_missed = (Store.stats store).Store.misses > before.Store.misses in
+        (* The first byte the damage touched, and where the artifact
+           frame starts (store.mli's layout): damage before it is the
+           probe's miss, damage after it the artifact read's. *)
+        let first =
+          let m = String.length damaged in
+          let rec go i = if i < m && raw.[i] = damaged.[i] then go (i + 1) else i in
+          go 0
+        in
+        let art =
+          let v = 10 + String.get_uint16_be raw 8 in
+          v + 24 + Int64.to_int (String.get_int64_be raw v)
+        in
+        if probe_missed <> (first < art) then
+          Alcotest.failf
+            "damage at byte %d (artifact frame at %d): probe %s"
+            first art (if probe_missed then "missed" else "hit");
         (match Engine.run e2 full_pipeline with
         | Ok () -> ()
         | Error f ->
             Alcotest.failf "recompute after quarantine failed: %s"
               (Format.asprintf "%a" Engine.pp_failure f));
+        List.iter
+          (fun (s : Engine.stage) ->
+            let verdict =
+              s.stage = "classification" || s.stage = "classification+lr1"
+            in
+            if s.forced && s.misses = 0 && not (verdict && not probe_missed)
+            then
+              Alcotest.failf
+                "damaged entry served: %s (damage left %d of %d bytes)"
+                s.stage (String.length damaged) n)
+          (Engine.stats e2);
+        if Engine.classification e2 <> Engine.classification e then
+          Alcotest.fail "verdict differs from the cold run";
+        let after = Store.stats store in
+        if after.Store.corrupt <> before.Store.corrupt + 1 then
+          Alcotest.fail "quarantine not counted";
+        if after.Store.hits + after.Store.misses
+           <> before.Store.hits + before.Store.misses + 1
+        then Alcotest.fail "probe not counted once";
+        if after.Store.artifact_reads <> before.Store.artifact_reads then
+          Alcotest.fail "damaged artifact frame counted as read";
+        (* miss-and-recompute: the recompute repopulates the entry, and
+           a fresh engine is served all of it *)
         Engine.persist ~force:true e2;
-        match Store.load store g with
-        | Some _ -> ()
-        | None -> Alcotest.fail "recompute did not repopulate the entry")
+        let e3 = Engine.create ~store g in
+        (match Engine.run e3 full_pipeline with
+        | Ok () -> ()
+        | Error f ->
+            Alcotest.failf "warm run failed: %s"
+              (Format.asprintf "%a" Engine.pp_failure f));
+        if List.exists (fun (s : Engine.stage) -> s.misses > 0) (Engine.stats e3)
+        then Alcotest.fail "recompute did not repopulate the entry")
   done
 
 (* ------------------------------------------------------------------ *)

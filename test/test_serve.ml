@@ -1336,6 +1336,8 @@ let test_e2e_scrape_reconciles () =
         (Metrics.counter_total s1 "lalr_serve_connections_total" >= 1);
       Alcotest.(check int) "no accept errors" 0
         (Metrics.counter_total s1 "lalr_serve_accept_errors_total");
+      Alcotest.(check bool) "no store, no store counters" true
+        (Metrics.find s1 "lalr_store_hits_total" = None);
       (* per-worker GC gauges materialised under the worker label *)
       Alcotest.(check bool) "gc gauges per worker" true
         (Metrics.find s1
@@ -1377,6 +1379,63 @@ let test_e2e_scrape_reconciles () =
              && contains l {|"queue_ms":|}
              && field_string l "trace_id" = Some "scrape-a")
            lines))
+
+(* The store's counters join the scrape as counter families, read
+   from [Store.stats] when the scrape is taken: two sequential calls
+   for one grammar are a write and then a hit. *)
+let test_e2e_scrape_store_counters () =
+  let cache = Filename.temp_file "lalr_serve_cache_" "" in
+  Sys.remove cache;
+  let d = start_daemon [ "--domains"; "1"; "--cache"; cache ] in
+  Fun.protect
+    ~finally:(fun () -> kill_daemon d)
+    (fun () ->
+      let c = Client.create ~sleep:no_sleep (Serve.Unix_path d.d_sock) in
+      List.iter
+        (fun id ->
+          match
+            Client.call c
+              [ Printf.sprintf {|{"id":"%s","file":"suite:mini-c"}|} id ]
+          with
+          | Ok [ line ] ->
+              Alcotest.(check (option string)) (id ^ " answered")
+                (Some "verdict") (field_string line "status")
+          | Ok _ -> Alcotest.fail "one response per call"
+          | Error e -> Alcotest.failf "call: %s" (Client.error_message e))
+        [ "cold"; "warm" ];
+      let body =
+        match Client.call c [ {|{"id":"m","kind":"metrics"}|} ] with
+        | Ok [ line ] -> (
+            match Protocol.Json.parse line with
+            | Ok j -> (
+                match Protocol.Json.member "body" j with
+                | Some (Protocol.Json.Str body) -> body
+                | _ -> Alcotest.fail "metrics response carries no body")
+            | Error m -> Alcotest.failf "garbled metrics line: %s" m)
+        | Ok _ -> Alcotest.fail "one scrape line"
+        | Error e -> Alcotest.failf "scrape: %s" (Client.error_message e)
+      in
+      Client.close c;
+      stop_daemon d;
+      let snap =
+        match Metrics.parse body with
+        | Ok snap -> snap
+        | Error m -> Alcotest.failf "invalid exposition: %s" m
+      in
+      let counter name =
+        if not (contains body (Printf.sprintf "# TYPE %s counter\n" name)) then
+          Alcotest.failf "no %s counter family:\n%s" name body;
+        Metrics.counter_total snap name
+      in
+      Alcotest.(check int) "one miss" 1 (counter "lalr_store_misses_total");
+      Alcotest.(check int) "one write" 1 (counter "lalr_store_writes_total");
+      Alcotest.(check int) "one hit" 1 (counter "lalr_store_hits_total");
+      Alcotest.(check int) "the hit read the verdict frame only" 0
+        (counter "lalr_store_artifact_reads_total");
+      List.iter
+        (fun name -> Alcotest.(check int) name 0 (counter name))
+        [ "lalr_store_corrupt_total"; "lalr_store_errors_total";
+          "lalr_store_skipped_small_total" ])
 
 (* --- trace-context propagation over the wire ----------------------- *)
 
@@ -1495,6 +1554,8 @@ let () =
             test_e2e_sigint_drain;
           Alcotest.test_case "metrics scrape reconciles" `Quick
             test_e2e_scrape_reconciles;
+          Alcotest.test_case "metrics scrape carries store counters" `Quick
+            test_e2e_scrape_store_counters;
           Alcotest.test_case "trace-id propagation" `Quick
             test_e2e_trace_propagation;
           Alcotest.test_case "batch --via-serve" `Quick

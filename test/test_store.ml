@@ -82,6 +82,31 @@ let populated g =
   Alcotest.(check bool) "entry written" true (Sys.file_exists path);
   (st, path)
 
+(* Where the two frames sit in an entry's bytes (store.mli's layout):
+   the offset of the verdict frame's payload and of the artifact
+   frame. *)
+let frames raw =
+  let vlen_off = 10 + String.get_uint16_be raw 8 in
+  let vlen = Int64.to_int (String.get_int64_be raw vlen_off) in
+  let payload = vlen_off + 8 + 16 in
+  (payload, payload + vlen)
+
+let flip raw i =
+  let b = Bytes.of_string raw in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+  Bytes.to_string b
+
+let misses e name = (Engine.find_stage e name).Engine.misses
+
+(* The slots outside the verdict frame that [force_all] reads. *)
+let artifact_slots e =
+  List.filter_map
+    (fun (s : Engine.stage) ->
+      if s.forced && not (List.mem s.stage [ "classification"; "classification+lr1" ])
+      then Some s.stage
+      else None)
+    (Engine.stats e)
+
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -89,21 +114,19 @@ let populated g =
 let test_round_trip () =
   let g = expr () in
   let st, _ = populated g in
-  match Store.load st g with
-  | None -> Alcotest.fail "freshly written entry did not load"
-  | Some b ->
-      Alcotest.(check bool)
-        "rehydrated grammar is structurally equal" true
-        (G.equal_structure b.Store.b_grammar g);
-      Alcotest.(check bool)
-        "classification travelled" true
-        (b.Store.b_classification <> None);
-      let v = Option.get b.Store.b_classification in
-      Alcotest.(check bool) "verdict preserved" true v.Classify.lalr1;
-      let s = Store.stats st in
-      Alcotest.(check int) "one hit" 1 s.Store.hits;
-      Alcotest.(check int) "one write" 1 s.Store.writes;
-      Alcotest.(check int) "no corruption" 0 s.Store.corrupt
+  let e = Engine.create ~store:st g in
+  force_all e;
+  Alcotest.(check bool)
+    "rehydrated grammar is structurally equal" true
+    (G.equal_structure (Lalr_automaton.Lr0.grammar (Engine.lr0 e)) g);
+  Alcotest.(check int) "classification travelled" 0 (misses e "classification");
+  Alcotest.(check bool) "verdict preserved" true
+    (Engine.classification e).Classify.lalr1;
+  let s = Store.stats st in
+  Alcotest.(check int) "one hit" 1 s.Store.hits;
+  Alcotest.(check int) "one artifact read" 1 s.Store.artifact_reads;
+  Alcotest.(check int) "one write" 1 s.Store.writes;
+  Alcotest.(check int) "no corruption" 0 s.Store.corrupt
 
 let test_warm_engine_recomputes_nothing () =
   let g = expr () in
@@ -119,6 +142,26 @@ let test_warm_engine_recomputes_nothing () =
     (Engine.stats e);
   Alcotest.(check int) "store hit" 1 (Store.stats st).Store.hits
 
+(* A warm verdict is the verdict frame alone: the run reads no
+   artifact, and its stage list names only the slot it read. *)
+let test_hit_reads_verdict_frame () =
+  let g = assign () in
+  let st, _ = populated g in
+  let e = Engine.create ~store:st g in
+  let v = Engine.classification e in
+  Alcotest.(check bool) "same verdict" true
+    (v = Engine.classification (Engine.create g));
+  Alcotest.(check (list string)) "stages read" [ "classification" ]
+    (List.filter_map
+       (fun (s : Engine.stage) -> if s.forced then Some s.stage else None)
+       (Engine.stats e));
+  Alcotest.(check int) "recomputed nothing" 0 (misses e "classification");
+  Alcotest.(check (option int)) "lr0 states from the verdict"
+    (Some v.Classify.lr0_states) (Engine.peek_lr0_states e);
+  let s = Store.stats st in
+  Alcotest.(check int) "one hit" 1 s.Store.hits;
+  Alcotest.(check int) "no artifact read" 0 s.Store.artifact_reads
+
 (* expr is SLR(1): its verdict reads no Follow or LA sets, so its entry
    holds none, and a warm engine answers from the entry alone. *)
 let test_short_path_entry () =
@@ -127,11 +170,6 @@ let test_short_path_entry () =
   let e = Engine.create ~store:st g in
   let v = Engine.classification e in
   Engine.persist ~force:true e;
-  (match Store.load st g with
-  | None -> Alcotest.fail "entry not written"
-  | Some b ->
-      Alcotest.(check bool) "no follow" true (Option.is_none b.Store.b_follow);
-      Alcotest.(check bool) "no la" true (Option.is_none b.Store.b_la));
   let warm = Engine.create ~store:st g in
   Alcotest.(check bool) "same verdict" true (Engine.classification warm = v);
   List.iter
@@ -139,65 +177,139 @@ let test_short_path_entry () =
       Alcotest.(check int)
         (Printf.sprintf "stage %s not recomputed" stage.stage)
         0 stage.misses)
-    (Engine.stats warm)
+    (Engine.stats warm);
+  (* the entry's artifacts hold the relations but no Follow or LA *)
+  ignore (Engine.lalr warm);
+  Alcotest.(check int) "relations stored" 0 (misses warm "relations");
+  Alcotest.(check int) "no follow" 1 (misses warm "follow");
+  Alcotest.(check int) "no la" 1 (misses warm "la")
 
 (* ------------------------------------------------------------------ *)
-(* Damage modes: each one is a counted quarantine + miss, then a clean
-   recompute — never a crash, never a served lie.                      *)
+(* Damage modes: each one is a counted quarantine, found where its
+   frame is read (a probe miss for the header and verdict frame), then
+   a clean recompute — never a crash, never a served lie.              *)
 (* ------------------------------------------------------------------ *)
 
-let check_damage name damage =
+type found = Probe | Artifacts
+
+let check_damage name ~found damage =
   let g = expr () in
   let st, path = populated g in
-  damage path;
+  let cold = Engine.classification (Engine.create g) in
+  let raw = read_file path in
+  write_file path (damage raw);
   let before = Store.stats st in
-  (match Store.load st g with
-  | Some _ -> Alcotest.failf "%s: damaged entry was served" name
-  | None -> ());
+  let at_probe = if found = Probe then 1 else 0 in
+  let e = Engine.create ~store:st g in
   let s = Store.stats st in
   Alcotest.(check int)
-    (name ^ ": quarantined") (before.Store.corrupt + 1) s.Store.corrupt;
+    (name ^ ": quarantined at create") (before.Store.corrupt + at_probe)
+    s.Store.corrupt;
   Alcotest.(check int)
-    (name ^ ": counted as miss") (before.Store.misses + 1) s.Store.misses;
+    (name ^ ": counted as miss") (before.Store.misses + at_probe) s.Store.misses;
+  force_all e;
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) (name ^ ": " ^ stage ^ " not served") 1
+        (misses e stage))
+    (artifact_slots e);
+  Alcotest.(check int)
+    (name ^ ": verdict frame served iff intact") at_probe
+    (misses e "classification");
+  Alcotest.(check bool) (name ^ ": cold verdict") true
+    (Engine.classification e = cold);
+  let s = Store.stats st in
+  Alcotest.(check int)
+    (name ^ ": quarantined once") (before.Store.corrupt + 1) s.Store.corrupt;
+  Alcotest.(check int)
+    (name ^ ": no artifact frame served") before.Store.artifact_reads
+    s.Store.artifact_reads;
   Alcotest.(check bool)
     (name ^ ": quarantine file kept") true
     (Sys.file_exists (path ^ ".corrupt"));
   Alcotest.(check bool)
     (name ^ ": entry gone") false (Sys.file_exists path);
-  (* the miss recomputes and repopulates *)
+  (* the recompute repopulates *)
+  Engine.persist ~force:true e;
   let e = Engine.create ~store:st g in
   force_all e;
-  Engine.persist ~force:true e;
-  match Store.load st g with
-  | None -> Alcotest.failf "%s: recompute did not repopulate" name
-  | Some _ -> ()
+  if List.exists (fun (s : Engine.stage) -> s.misses > 0) (Engine.stats e) then
+    Alcotest.failf "%s: recompute did not repopulate" name
 
 let test_truncation () =
-  check_damage "truncation" (fun path ->
-      let raw = read_file path in
-      write_file path (String.sub raw 0 (String.length raw / 3)))
+  check_damage "truncation" ~found:Artifacts (fun raw ->
+      String.sub raw 0 (String.length raw / 3))
 
 let test_bit_flip () =
-  check_damage "bit flip" (fun path ->
-      let raw = read_file path in
-      let b = Bytes.of_string raw in
-      let i = Bytes.length b / 2 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-      write_file path (Bytes.to_string b))
+  check_damage "bit flip" ~found:Artifacts (fun raw ->
+      flip raw (String.length raw / 2))
 
 let test_version_skew () =
-  check_damage "version skew" (fun path ->
+  check_damage "version skew" ~found:Probe (fun raw ->
       (* the stamp starts right after the 8-byte magic and its 2-byte
          length; damaging it simulates an entry from another build *)
-      let raw = read_file path in
-      let b = Bytes.of_string raw in
-      Bytes.set b 11 (Char.chr (Char.code (Bytes.get b 11) lxor 0x01));
-      write_file path (Bytes.to_string b))
+      flip raw 11)
+
+let test_verdict_frame_damage () =
+  check_damage "verdict frame bit flip" ~found:Probe (fun raw ->
+      let payload, art = frames raw in
+      flip raw ((payload + art) / 2));
+  check_damage "verdict frame truncation" ~found:Probe (fun raw ->
+      let payload, art = frames raw in
+      String.sub raw 0 ((payload + art) / 2))
+
+(* Damage confined to the artifact frame does not touch a verdict hit:
+   the verdict frame is served with nothing quarantined. The first
+   artifact slot then finds the damage, and everything recomputes to a
+   cold run's answers. *)
+let test_artifact_frame_damage () =
+  let g = assign () in
+  let st, path = populated g in
+  let raw = read_file path in
+  let _, art = frames raw in
+  write_file path (flip raw (art + 40));
+  let before = Store.stats st in
+  let e = Engine.create ~store:st g in
+  let cold = Engine.create g in
+  Alcotest.(check bool) "verdict" true
+    (Engine.classification e = Engine.classification cold);
+  Alcotest.(check int) "served from the verdict frame" 0
+    (misses e "classification");
+  Alcotest.(check int) "nothing quarantined yet" 0 (Store.stats st).Store.corrupt;
+  ignore (Engine.lr0 e);
+  let s = Store.stats st in
+  Alcotest.(check int) "quarantined by lr0" 1 s.Store.corrupt;
+  Alcotest.(check bool) "quarantine file kept" true
+    (Sys.file_exists (path ^ ".corrupt"));
+  Alcotest.(check int) "lr0 recomputed" 1 (misses e "lr0");
+  let pp_tables e = Format.asprintf "%a" Lalr_tables.Tables.pp (Engine.tables e) in
+  Alcotest.(check string) "tables equal a cold run" (pp_tables cold)
+    (pp_tables e);
+  Alcotest.(check int) "one probe, a hit" (before.Store.hits + 1) s.Store.hits;
+  Alcotest.(check int) "no miss" before.Store.misses s.Store.misses
+
+(* A hit reads the header and the verdict frame and nothing after: an
+   entry cut right behind its verdict frame still serves the verdict. *)
+let test_hit_reads_no_artifact_bytes () =
+  let g = assign () in
+  let st, path = populated g in
+  let raw = read_file path in
+  let _, art = frames raw in
+  write_file path (String.sub raw 0 art);
+  let e = Engine.create ~store:st g in
+  ignore (Engine.classification e);
+  Alcotest.(check int) "served" 0 (misses e "classification");
+  let s = Store.stats st in
+  Alcotest.(check int) "a hit" 1 s.Store.hits;
+  Alcotest.(check int) "nothing quarantined" 0 s.Store.corrupt;
+  ignore (Engine.lr0 e);
+  Alcotest.(check int) "the missing frame is found" 1
+    (Store.stats st).Store.corrupt
 
 let test_wrong_key () =
   (* A structurally valid entry for grammar A sitting at grammar B's
-     path passes magic, stamp and checksum — only the rehydrated-key
-     check can reject it. *)
+     path passes magic, stamp and checksum — only the key check can
+     reject it. *)
   let ga = expr () and gb = dangling () in
   let st = Store.create ~dir:(fresh_dir ()) in
   let ea = Engine.create ~store:st ga in
@@ -206,10 +318,27 @@ let test_wrong_key () =
   let a_path = Store.entry_path st ga in
   let b_path = Store.entry_path st gb in
   write_file b_path (read_file a_path);
-  (match Store.load st gb with
-  | Some _ -> Alcotest.fail "foreign entry served under the wrong key"
-  | None -> ());
-  Alcotest.(check int) "quarantined" 1 (Store.stats st).Store.corrupt
+  let eb = Engine.create ~store:st gb in
+  ignore (Engine.classification eb);
+  if misses eb "classification" = 0 then
+    Alcotest.fail "foreign entry served under the wrong key";
+  Alcotest.(check int) "quarantined" 1 (Store.stats st).Store.corrupt;
+  (* B's own verdict frame in front of A's artifact frame: the verdict
+     is B's and is served, and the re-keyed artifact grammar rejects
+     the rest. *)
+  Engine.persist ~force:true eb;
+  let b_raw = read_file b_path and a_raw = read_file a_path in
+  let _, b_art = frames b_raw and _, a_art = frames a_raw in
+  write_file b_path
+    (String.sub b_raw 0 b_art
+    ^ String.sub a_raw a_art (String.length a_raw - a_art));
+  let eb = Engine.create ~store:st gb in
+  ignore (Engine.classification eb);
+  Alcotest.(check int) "own verdict served" 0 (misses eb "classification");
+  ignore (Engine.lr0 eb);
+  if misses eb "lr0" = 0 then
+    Alcotest.fail "foreign artifacts served under the wrong key";
+  Alcotest.(check int) "quarantined again" 2 (Store.stats st).Store.corrupt
 
 let test_store_never_fails () =
   (* Pull the directory out from under a live store: every operation
@@ -221,9 +350,10 @@ let test_store_never_fails () =
   (* leave quarantine leftovers out of the way, then remove the dir *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
-  Alcotest.(check (option reject)) "load is a miss" None
-    (Option.map ignore (Store.load st g));
+  let before = Store.stats st in
   let e = Engine.create ~store:st g in
+  Alcotest.(check int) "load is a miss" (before.Store.misses + 1)
+    (Store.stats st).Store.misses;
   force_all e;
   Engine.persist ~force:true e;
   let s = Store.stats st in
@@ -291,6 +421,40 @@ let test_distinct_sources_distinct_entries () =
     "store keys differ" false
     (String.equal (Store.key g1) (Store.key g2))
 
+(* The key's binary encoding keeps every boundary: each pair differs
+   in exactly one respect and must not share a key, while the same
+   text read twice must. *)
+let test_key_pairs () =
+  let read src = Reader.of_string ~name:"pair.cfg" src in
+  let pairs =
+    [
+      ( "symbol kind at the same index",
+        (* x is terminal 1 and s nonterminal 1 *)
+        "%token x y\n%start s\n%%\ns : x t ;\nt : y ;\n",
+        "%token x y\n%start s\n%%\ns : s t ;\nt : y ;\n" );
+      ( "where one right side ends",
+        "%token a b c\n%start s\n%%\ns : a b | c ;\n",
+        "%token a b c\n%start s\n%%\ns : a | b c ;\n" );
+      ( "precedence level",
+        "%token a b\n%left a\n%left b\n%start s\n%%\ns : s a s | s b s | a ;\n",
+        "%token a b\n%left b\n%left a\n%start s\n%%\ns : s a s | s b s | a ;\n" );
+      ( "associativity",
+        "%token a\n%left a\n%start s\n%%\ns : s a s | a ;\n",
+        "%token a\n%right a\n%start s\n%%\ns : s a s | a ;\n" );
+      ( "one production's line",
+        "%token a b\n%start s\n%%\ns : a t ;\nt : b ;\n",
+        "%token a b\n%start s\n%%\ns : a t ;\n\nt : b ;\n" );
+    ]
+  in
+  List.iter
+    (fun (what, a, b) ->
+      let ga = read a and gb = read b in
+      Alcotest.(check string) (what ^ ": same text, same key")
+        (Store.key ga) (Store.key (read a));
+      Alcotest.(check bool) (what ^ ": keys differ") false
+        (String.equal (Store.key ga) (Store.key gb)))
+    pairs
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -351,9 +515,10 @@ let test_injected_write_corruption_detected () =
   Engine.persist ~force:true e;
   Faultpoint.disarm ();
   (* the corrupted write must be caught by the next read *)
-  (match Store.load st g with
-  | Some _ -> Alcotest.fail "corrupted payload served"
-  | None -> ());
+  let e = Engine.create ~store:st g in
+  force_all e;
+  if List.exists (fun stage -> misses e stage = 0) (artifact_slots e) then
+    Alcotest.fail "corrupted payload served";
   Alcotest.(check int) "quarantined" 1 (Store.stats st).Store.corrupt
 
 let test_registry_covers_engine_slots () =
@@ -425,11 +590,19 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "warm engine recomputes nothing" `Quick
             test_warm_engine_recomputes_nothing;
+          Alcotest.test_case "a hit reads the verdict frame" `Quick
+            test_hit_reads_verdict_frame;
           Alcotest.test_case "SLR(1)-clean entry has no LA sets" `Quick
             test_short_path_entry;
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "bit flip" `Quick test_bit_flip;
           Alcotest.test_case "version skew" `Quick test_version_skew;
+          Alcotest.test_case "verdict frame damage" `Quick
+            test_verdict_frame_damage;
+          Alcotest.test_case "artifact frame damage" `Quick
+            test_artifact_frame_damage;
+          Alcotest.test_case "a hit reads no artifact bytes" `Quick
+            test_hit_reads_no_artifact_bytes;
           Alcotest.test_case "wrong key" `Quick test_wrong_key;
           Alcotest.test_case "store never fails" `Quick test_store_never_fails;
           Alcotest.test_case "sub-threshold persist is skipped" `Quick
@@ -438,6 +611,8 @@ let () =
             test_pure_hit_is_not_skipped;
           Alcotest.test_case "distinct sources, distinct entries" `Quick
             test_distinct_sources_distinct_entries;
+          Alcotest.test_case "keys of near-identical grammars" `Quick
+            test_key_pairs;
         ] );
       ( "faultpoint",
         [

@@ -507,7 +507,7 @@ let check_contract_pins ctx ~raw =
   if Filename.basename ctx.file = "store.mli" && ctx.in_store then begin
     if count_substring raw "Never raises" < 2 then
       report ctx ~code:"D002" ~line:1
-        "lib/store/store.mli: load and save must each document the 'Never \
+        "lib/store/store.mli: its reads and save must each document the 'Never \
          raises' absorption contract"
   end;
   if Filename.basename ctx.file = "faultpoint.mli" && under ctx.file "lib" "guard"
